@@ -2,7 +2,9 @@ package temporalkcore_test
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"reflect"
 	"sync"
 	"testing"
@@ -30,6 +32,44 @@ func seededEdges(t testing.TB, edges int, seed int64) []tkc.Edge {
 		all[i] = tkc.Edge{U: g.Label(te.U), V: g.Label(te.V), Time: g.RawTime(te.T)}
 	}
 	return all
+}
+
+// resultDigest summarises a result stream without materialising it: the
+// number of cores, |R|, and an FNV-64a hash over every core's tightest
+// time interval and edges in emission order. Equal digests mean the same
+// cores with the same edges in the same order.
+type resultDigest struct {
+	Cores, Edges int64
+	Hash         uint64
+}
+
+// digestOf executes r and folds its results into a resultDigest one core
+// at a time, so a full-span query whose |R| runs to tens of millions of
+// edges is compared in constant memory.
+func digestOf(ctx context.Context, r *tkc.Request) (resultDigest, error) {
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(v int64) {
+		binary.LittleEndian.PutUint64(buf[:], uint64(v))
+		h.Write(buf[:])
+	}
+	var d resultDigest
+	for c, err := range r.Seq(ctx) {
+		if err != nil {
+			return d, err
+		}
+		d.Cores++
+		d.Edges += int64(len(c.Edges))
+		put(c.Start)
+		put(c.End)
+		for _, e := range c.Edges {
+			put(e.U)
+			put(e.V)
+			put(e.Time)
+		}
+	}
+	d.Hash = h.Sum64()
+	return d, nil
 }
 
 // TestCachedVsUncachedDifferential is the serving cache's correctness
@@ -167,11 +207,11 @@ func TestCacheHitRepeatQuery(t *testing.T) {
 	lo, hi := g.TimeSpan()
 
 	var first, repeat tkc.QueryStats
-	cores1, err := g.Query(3).Window(lo, hi).Stats(&first).Collect(ctx)
+	d1, err := digestOf(ctx, g.Query(3).Window(lo, hi).Stats(&first))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cores2, err := g.Query(3).Window(lo, hi).Stats(&repeat).Collect(ctx)
+	d2, err := digestOf(ctx, g.Query(3).Window(lo, hi).Stats(&repeat))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,8 +224,8 @@ func TestCacheHitRepeatQuery(t *testing.T) {
 	if repeat.VCTSize != first.VCTSize || repeat.ECSSize != first.ECSSize {
 		t.Errorf("index sizes diverged: %+v vs %+v", repeat, first)
 	}
-	if !reflect.DeepEqual(cores1, cores2) {
-		t.Error("cached repeat returned different cores")
+	if d1 != d2 {
+		t.Errorf("cached repeat returned different cores: %+v vs %+v", d2, d1)
 	}
 
 	cs := g.CacheStats()
@@ -198,7 +238,7 @@ func TestCacheHitRepeatQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	var after tkc.QueryStats
-	if _, err := g.Query(3).Window(lo, hi).Stats(&after).Collect(ctx); err != nil {
+	if _, err := digestOf(ctx, g.Query(3).Window(lo, hi).Stats(&after)); err != nil {
 		t.Fatal(err)
 	}
 	if after.CacheHit {
@@ -232,16 +272,16 @@ func TestPreparedUsesCache(t *testing.T) {
 	if p2.PrepareTime() != 0 {
 		t.Errorf("second Prepare reported PrepareTime %v, want 0 (cache adopt)", p2.PrepareTime())
 	}
-	c1, err := p1.Query().Collect(ctx)
+	d1, err := digestOf(ctx, p1.Query())
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := p2.Query().Collect(ctx)
+	d2, err := digestOf(ctx, p2.Query())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(c1, c2) {
-		t.Error("cache-adopted prepared query returned different cores")
+	if d1 != d2 {
+		t.Errorf("cache-adopted prepared query returned different cores: %+v vs %+v", d2, d1)
 	}
 
 	// A one-shot query on the prepared (k, window) is a hit too.
@@ -256,7 +296,10 @@ func TestPreparedUsesCache(t *testing.T) {
 
 // TestRunBatchSharesHits pins the batch integration: N identical requests
 // in one batch resolve their CoreTime tables with a single build, the
-// remaining items reporting shared hits, with identical results.
+// remaining items reporting shared hits, with identical results. Half the
+// items count and half materialise an early-stopped prefix: seven
+// materialised copies of this full-span result would run to gigabytes.
+// The full content of the built entry is then checked by streaming it.
 func TestRunBatchSharesHits(t *testing.T) {
 	ctx := context.Background()
 	all := seededEdges(t, 800, 5)
@@ -266,12 +309,18 @@ func TestRunBatchSharesHits(t *testing.T) {
 	}
 	lo, hi := g.TimeSpan()
 
-	const dup = 6
+	const dup, prefix = 6, 50
 	var reqs []*tkc.Request
 	for i := 0; i < dup; i++ {
-		reqs = append(reqs, g.Query(3).Window(lo, hi))
+		r := g.Query(3).Window(lo, hi)
+		if i%2 == 0 {
+			r.Project(tkc.ProjectCount)
+		} else {
+			r.EarlyStop(prefix)
+		}
+		reqs = append(reqs, r)
 	}
-	reqs = append(reqs, g.Query(2).Window(lo, hi)) // a distinct key rides along
+	reqs = append(reqs, g.Query(2).Window(lo, hi).Project(tkc.ProjectCount)) // a distinct key rides along
 
 	res := g.RunBatch(ctx, reqs)
 	built, shared := 0, 0
@@ -285,8 +334,12 @@ func TestRunBatchSharesHits(t *testing.T) {
 		} else {
 			built++
 		}
-		if !reflect.DeepEqual(r.Cores, res[0].Cores) {
-			t.Fatalf("item %d returned different cores", i)
+		// Items of the same shape return the same results: equal counts
+		// for the counting items, equal cores and edges for the prefixes.
+		ref := res[i%2]
+		if r.Stats.Cores != ref.Stats.Cores || r.Stats.Edges != ref.Stats.Edges || !reflect.DeepEqual(r.Cores, ref.Cores) {
+			t.Fatalf("item %d returned different cores: %d cores / %d edges vs %d / %d",
+				i, r.Stats.Cores, r.Stats.Edges, ref.Stats.Cores, ref.Stats.Edges)
 		}
 	}
 	if built != 1 || shared != dup-1 {
@@ -300,8 +353,43 @@ func TestRunBatchSharesHits(t *testing.T) {
 		t.Errorf("batch ran %d builds, want 2 (one per distinct key); stats %+v", cs.Misses, cs)
 	}
 
+	// Streaming the entry the batch built yields the counting items'
+	// results, and the same content as a cache-disabled rebuild, whose
+	// prefix the materialising items returned.
+	var qs tkc.QueryStats
+	got, err := digestOf(ctx, g.Query(3).Window(lo, hi).Stats(&qs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !qs.CacheHit || got.Cores != res[0].Stats.Cores || got.Edges != res[0].Stats.Edges {
+		t.Errorf("streamed entry: hit=%v %d cores / %d edges, batch had %d / %d",
+			qs.CacheHit, got.Cores, got.Edges, res[0].Stats.Cores, res[0].Stats.Edges)
+	}
+	cold, err := tkc.NewGraph(all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold.SetCacheOptions(tkc.CacheOptions{Disable: true})
+	want, err := digestOf(ctx, cold.Query(3).Window(lo, hi))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("batch-built entry streams %+v, uncached rebuild %+v", got, want)
+	}
+	wantPrefix, err := cold.Query(3).Window(lo, hi).EarlyStop(prefix).Collect(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(wantPrefix) != prefix || !reflect.DeepEqual(res[1].Cores, wantPrefix) {
+		t.Errorf("batch prefix of %d cores differs from the uncached rebuild's %d", len(res[1].Cores), len(wantPrefix))
+	}
+
 	// The whole batch repeated is all hits.
-	res2 := g.RunBatch(ctx, []*tkc.Request{g.Query(3).Window(lo, hi), g.Query(2).Window(lo, hi)})
+	res2 := g.RunBatch(ctx, []*tkc.Request{
+		g.Query(3).Window(lo, hi).EarlyStop(prefix),
+		g.Query(2).Window(lo, hi).Project(tkc.ProjectCount),
+	})
 	for i, r := range res2 {
 		if r.Err != nil || !r.Stats.CacheHit {
 			t.Errorf("repeat item %d: err=%v hit=%v", i, r.Err, r.Stats.CacheHit)

@@ -22,7 +22,7 @@ import (
 )
 
 // Scratch bundles the reusable working state of both query phases — the
-// CoreTime builder's vectors and the enumerator's node arena — so one
+// CoreTime phase's vectors and the enumerator's edge slots — so one
 // warmed-up Scratch makes a whole repeated (k, window) query allocate close
 // to nothing. The zero value is ready; a Scratch serves one query at a time.
 type Scratch struct {

@@ -1,6 +1,9 @@
 package enum
 
 import (
+	"math"
+	"math/bits"
+	"slices"
 	"sync"
 
 	"temporalkcore/internal/ds"
@@ -8,29 +11,33 @@ import (
 	"temporalkcore/internal/vct"
 )
 
-// node is one minimal core window in the per-start-time order L_ts. Nodes
-// live in a flat arena and link to each other by index; -1 terminates.
-type node struct {
-	start, end tgraph.TS
-	active     tgraph.TS
-	eid        tgraph.EID
-	prev, next int32
+// slot is one edge's entry in the per-start-time order L_t. By Definition
+// 6 an edge has at most one live window at any start time, and window i
+// activates exactly when window i-1's start has passed, so a slot holds
+// the edge's live window and a cursor to the next one. Slot 0 is the
+// list's sentinel head; edge lo+i-1 owns slot i, so slot order is edge-id
+// order and 0 terminates every link.
+type slot struct {
+	ord        uint64    // end offset above the slot index: the (end, eid) rank
+	start      tgraph.TS // start of the live window
+	prev, next int32     // L_t links
+	cal        int32     // next slot whose live window has the same start
+	cur, lim   int32     // live window's index in ecs.Flat; one past the edge's last
 }
 
-const nilNode = int32(-1)
-
-// Scratch holds the node arena, the flat activation/start buckets and the
-// edge buffer of Enumerate so repeated enumerations — batch workloads,
-// PreparedQuery reuse — allocate nothing once warm. The zero value is ready
-// to use; a Scratch must not be shared by concurrent enumerations.
+// Scratch holds the edge slots, the start-time calendar, the activation
+// batch and the edge buffer of Enumerate, so repeated enumerations — batch
+// workloads, PreparedQuery reuse — allocate nothing once warm. It is
+// O(m + tlen) for m edges in the query range and tlen start times, not
+// O(|ECS|): windows enter the slots lazily as the sweep reaches them. The
+// zero value is ready to use; a Scratch must not be shared by concurrent
+// enumerations.
 type Scratch struct {
-	nodes []node
-
-	cnt          []int32 // counting-sort scratch, len tlen+1
-	byEnd        []int32 // node indices ascending by window end
-	baOff, baIdx []int32 // bucket Ba: windows activating at t, ascending end
-	bsOff, bsIdx []int32 // bucket Bs: windows starting at t
-	cur          []int32 // bucket-fill cursors
+	slots []slot
+	cal   []int32  // calendar: head slot per start offset, 0 when empty
+	cnt   []int32  // counting-sort scratch for the first batch, len tlen+1
+	batch []uint64 // ord keys of the windows activating at the current step
+	tmp   []uint64 // first-batch keys in slot order, before the counting sort
 
 	edgeBuf []tgraph.EID
 }
@@ -85,17 +92,22 @@ func EnumerateStop(g *tgraph.Graph, ecs *vct.ECS, sink Sink, s *Scratch, stop fu
 // EnumerateRangeStop is EnumerateStop bounded to cores whose tightest start
 // is at most lastStart: the outer sweep ends after lastStart instead of the
 // skyline range end, so a caller that only wants a prefix of the start axis
-// — a time-range shard emitting its slice of a scatter-gather query — pays
-// nothing for the starts beyond it. Cores are emitted in the same canonical
-// order Enumerate uses; lastStart at or beyond ecs.Range.End is the full
+// — a time-range shard emitting its slice of a scatter-gather query — never
+// advances past it. Cores are emitted in the same canonical order
+// Enumerate uses; lastStart at or beyond ecs.Range.End is the full
 // enumeration.
+//
+// The set-up is O(m + tlen) for the m edges in the skyline's edge range:
+// only each edge's first window is placed before the sweep, and a later
+// window is read when the sweep reaches its activation time. A sink that
+// stops after the first cores, or a bounded lastStart, therefore pays for
+// the start times swept and the windows activated so far, not for the
+// whole skyline.
 //
 // tkc:cancellable
 func EnumerateRangeStop(g *tgraph.Graph, ecs *vct.ECS, sink Sink, s *Scratch, lastStart tgraph.TS, stop func() bool) (done, cancelled bool) {
 	w := ecs.Range
 	tlen := int(w.End-w.Start) + 1
-	// The buckets below are sized for the full skyline range — window ends
-	// past lastStart still index them — so only the outer sweep is bounded.
 	sweep := tlen
 	if lastStart < w.End {
 		if lastStart < w.Start {
@@ -104,124 +116,103 @@ func EnumerateRangeStop(g *tgraph.Graph, ecs *vct.ECS, sink Sink, s *Scratch, la
 		sweep = int(lastStart-w.Start) + 1
 	}
 	lo, hi := ecs.EdgeRange()
+	m := int(hi - lo)
+	off, wins := ecs.Flat()
+	sb := uint(bits.Len(uint(m))) // ord = end<<sb | slot, slots 1..m
 
-	// Materialise window nodes with their active times (Definition 6:
-	// the first window of an edge activates at Ts, each later window one
-	// step after the preceding window's start).
-	nodes := s.nodes[:0]
-	for e := lo; e < hi; e++ {
-		wins := ecs.Windows(e)
-		for i, win := range wins {
-			act := w.Start
-			if i > 0 {
-				act = wins[i-1].Start + 1
-			}
-			nodes = append(nodes, node{start: win.Start, end: win.End, active: act, eid: e})
-		}
-	}
-	nn := len(nodes)
-
-	// Order nodes by ascending end with a counting sort, then bucket them:
-	// Ba[t] holds the windows activating at t in ascending end order (so
-	// the merge insertion below is a single forward scan); Bs[t] holds the
-	// windows starting at t (deleted when ts passes t). All buckets are
-	// flat off/idx pairs carved out of the scratch — no per-t slices.
+	// Every edge's first window activates at Ts (Definition 6). File each
+	// slot in the calendar under its window's start, and counting-sort the
+	// first batch by end; keys are staged in slot order, so ties stay in
+	// eid order and the batch comes out in canonical (end, eid) order.
+	slots := ds.Grow(s.slots, m+1)
+	slots[0] = slot{ord: math.MaxUint64} // the sentinel ranks after every window
+	cal := ds.GrowZero(s.cal, tlen)
 	cnt := ds.GrowZero(s.cnt, tlen+1)
-	for i := range nodes {
-		cnt[int(nodes[i].end-w.Start)+1]++
+	tmp := s.tmp[:0]
+	for i := 1; i <= m; i++ {
+		a, b := off[i-1], off[i]
+		if a == b {
+			continue
+		}
+		win := wins[a]
+		st, end := int(win.Start-w.Start), int(win.End-w.Start)
+		ord := uint64(end)<<sb | uint64(i)
+		x := &slots[i]
+		x.ord, x.start, x.cal, x.cur, x.lim = ord, win.Start, cal[st], a, b
+		cal[st] = int32(i)
+		cnt[end+1]++
+		tmp = append(tmp, ord)
 	}
 	for t := 0; t < tlen; t++ {
 		cnt[t+1] += cnt[t]
 	}
-	byEnd := ds.Grow(s.byEnd, nn)
-	for i := range nodes {
-		p := int(nodes[i].end - w.Start)
-		byEnd[cnt[p]] = int32(i)
-		cnt[p]++
+	batch := ds.Grow(s.batch, len(tmp))
+	for _, k := range tmp {
+		end := k >> sb
+		batch[cnt[end]] = k
+		cnt[end]++
 	}
-
-	baOff := ds.GrowZero(s.baOff, tlen+1)
-	bsOff := ds.GrowZero(s.bsOff, tlen+1)
-	for i := range nodes {
-		baOff[int(nodes[i].active-w.Start)+1]++
-		bsOff[int(nodes[i].start-w.Start)+1]++
-	}
-	for t := 0; t < tlen; t++ {
-		baOff[t+1] += baOff[t]
-		bsOff[t+1] += bsOff[t]
-	}
-	baIdx := ds.Grow(s.baIdx, nn)
-	bsIdx := ds.Grow(s.bsIdx, nn)
-	cur := ds.Grow(s.cur, tlen)
-	copy(cur, baOff[:tlen])
-	for _, ni := range byEnd { // byEnd order keeps each Ba bucket end-sorted
-		a := int(nodes[ni].active - w.Start)
-		baIdx[cur[a]] = ni
-		cur[a]++
-	}
-	copy(cur, bsOff[:tlen])
-	for i := range nodes {
-		st := int(nodes[i].start - w.Start)
-		bsIdx[cur[st]] = int32(i)
-		cur[st]++
-	}
-
-	// Doubly linked list with a dummy head stored as head/first pointers.
-	head := int32(nn)
-	nodes = append(nodes, node{next: nilNode, prev: nilNode})
-
-	// Persist grown buffers so the next run reuses them.
-	s.nodes, s.cnt, s.byEnd = nodes, cnt, byEnd
-	s.baOff, s.baIdx, s.bsOff, s.bsIdx, s.cur = baOff, baIdx, bsOff, bsIdx, cur
 
 	edgeBuf := s.edgeBuf[:0]
-	defer func() { s.edgeBuf = edgeBuf }()
+	defer func() { s.slots, s.cal, s.cnt, s.batch, s.tmp, s.edgeBuf = slots, cal, cnt, batch, tmp, edgeBuf }()
 
-	for off := 0; off < sweep; off++ {
-		if stop != nil && off&(stopStride-1) == 0 && stop() {
+	base := lo - 1 // slot i holds edge base+i
+	for so := 0; so < sweep; so++ {
+		if stop != nil && so&(stopStride-1) == 0 && stop() {
 			return false, true
 		}
-		t := w.Start + tgraph.TS(off)
+		t := w.Start + tgraph.TS(so)
 
-		// Remove windows whose start time has passed (lines 14-16).
-		if off > 0 {
-			for _, ni := range bsIdx[bsOff[off-1]:bsOff[off]] {
-				p, nx := nodes[ni].prev, nodes[ni].next
-				nodes[p].next = nx
-				if nx != nilNode {
-					nodes[nx].prev = p
+		// Remove the windows whose start time has passed (lines 14-16)
+		// and activate each such edge's next window, which by Definition
+		// 6 becomes live exactly now. Sorting the packed ord keys puts the
+		// activation batch in (end, eid) order.
+		if so > 0 {
+			batch = batch[:0]
+			for sl := cal[so-1]; sl != 0; {
+				x := &slots[sl]
+				nextCal := x.cal
+				slots[x.prev].next = x.next
+				slots[x.next].prev = x.prev
+				if c := x.cur + 1; c < x.lim {
+					win := wins[c]
+					st := int(win.Start - w.Start)
+					x.cur = c
+					x.start = win.Start
+					x.ord = uint64(win.End-w.Start)<<sb | uint64(sl)
+					x.cal = cal[st]
+					cal[st] = sl
+					batch = append(batch, x.ord)
 				}
+				sl = nextCal
 			}
+			slices.Sort(batch)
 		}
 
 		// Insert newly active windows with a single merge scan (lines
-		// 17-22); the Ba bucket ascends by (end, eid) — equal ends within a
-		// bucket are distinct edges in node-index order — so h never moves
+		// 17-22); the batch ascends by (end, eid), so h never moves
 		// backwards. Breaking end ties by eid keeps the whole list in
 		// canonical (end, eid) order: the emitted edge order then depends
 		// only on the skyline content, not on activation history, which is
 		// what lets a restricted-range enumeration (a shard's slice of a
 		// scatter-gather query) byte-match the full-window one.
-		h := head
-		for _, ni := range baIdx[baOff[off]:baOff[off+1]] {
-			for nx := nodes[h].next; nx != nilNode &&
-				(nodes[nx].end < nodes[ni].end ||
-					(nodes[nx].end == nodes[ni].end && nodes[nx].eid < nodes[ni].eid)); nx = nodes[h].next {
+		h := int32(0)
+		for _, k := range batch {
+			sl := int32(k & (1<<sb - 1))
+			for nx := slots[h].next; slots[nx].ord < k; nx = slots[h].next {
 				h = nx
 			}
-			nx := nodes[h].next
-			nodes[ni].prev = h
-			nodes[ni].next = nx
-			nodes[h].next = ni
-			if nx != nilNode {
-				nodes[nx].prev = ni
-			}
-			h = ni
+			nx := slots[h].next
+			slots[sl].prev = h
+			slots[sl].next = nx
+			slots[h].next = sl
+			slots[nx].prev = sl
+			h = sl
 		}
 
 		// No minimal core window starts at t: no temporal k-core has this
 		// start time (Lemma 4).
-		if bsOff[off] == bsOff[off+1] {
+		if cal[so] == 0 {
 			continue
 		}
 
@@ -231,15 +222,15 @@ func EnumerateRangeStop(g *tgraph.Graph, ecs *vct.ECS, sink Sink, s *Scratch, la
 		// distinct temporal k-core.
 		edgeBuf = edgeBuf[:0]
 		valid := false
-		for cur := nodes[head].next; cur != nilNode; {
-			n := &nodes[cur]
-			edgeBuf = append(edgeBuf, n.eid)
-			if n.start == t {
+		for cur := slots[0].next; cur != 0; {
+			x := &slots[cur]
+			edgeBuf = append(edgeBuf, base+tgraph.EID(cur))
+			if x.start == t {
 				valid = true
 			}
-			nx := n.next
-			if valid && (nx == nilNode || nodes[nx].end != n.end) {
-				if !sink.Emit(tgraph.Window{Start: t, End: n.end}, edgeBuf) {
+			nx := x.next
+			if valid && slots[nx].ord>>sb != x.ord>>sb {
+				if !sink.Emit(tgraph.Window{Start: t, End: w.Start + tgraph.TS(x.ord>>sb)}, edgeBuf) {
 					return false, false
 				}
 			}

@@ -2,8 +2,8 @@
 // range from the edge core window skyline, implementing the paper's
 // EnumBase (Algorithm 3) and the optimal Enum / AS-Output pair
 // (Algorithms 4 and 5, Sections V-B and V-C). The optimal enumerator keeps
-// its node arena and flat time buckets in a pooled Scratch, so repeated
-// enumerations allocate nothing once warm.
+// one slot per edge and a start-time calendar in a pooled Scratch, so
+// repeated enumerations allocate nothing once warm.
 package enum
 
 import (

@@ -65,5 +65,10 @@ func (e *ECS) Windows(eid tgraph.EID) []tgraph.Window {
 	return e.wins[e.off[i]:e.off[i+1]]
 }
 
+// Flat returns the skylines as one array: the windows of edge lo+i are
+// wins[off[i]:off[i+1]], so a cursor over an edge's windows is a plain
+// index. Both slices alias the ECS and must not be modified.
+func (e *ECS) Flat() (off []int32, wins []tgraph.Window) { return e.off, e.wins }
+
 // Size returns |ECS|, the total number of minimal core windows.
 func (e *ECS) Size() int { return len(e.wins) }

@@ -28,6 +28,10 @@ tol=${BENCH_GATE_TOLERANCE:-30}
 # (PR 9), and the sharded scatter-gather serving path with its replica
 # pools (PR 10). Fixed iteration counts keep run-to-run variance inside
 # the tolerance.
+#
+# The enumerator's first-core cases guard its lazy window activation,
+# which keeps a point query O(edges in range + start times swept)
+# instead of O(|ECS|).
 raw=$(
   go test -run=NONE -bench='BenchmarkBuildScratchReuse$' -benchtime=3x -benchmem ./internal/vct/
   go test -run=NONE -bench='BenchmarkAppendOneByOne$' -benchtime=20000x -benchmem ./internal/tgraph/
@@ -41,6 +45,7 @@ raw=$(
   go test -run=NONE -bench='BenchmarkPHCPartialRangePatch$' -benchtime=3x -benchmem .
   go test -run=NONE -bench='BenchmarkShardedScatterGather$' -benchtime=20x -benchmem .
   go test -run=NONE -bench='BenchmarkReplicaReadScaling$' -benchtime=20x -benchmem .
+  go test -run=NONE -bench='BenchmarkEnumerate$/-first$' -benchtime=10000x -benchmem ./internal/enum/
 )
 echo "$raw"
 
