@@ -3,13 +3,9 @@ package temporalkcore
 import (
 	"context"
 	"fmt"
-	"time"
-
-	"temporalkcore/internal/core"
-	"temporalkcore/internal/enum"
-	"temporalkcore/internal/qcache"
-	"temporalkcore/internal/tgraph"
-	"temporalkcore/internal/vct"
+	"runtime"
+	"sync"
+	"sync/atomic"
 )
 
 // QuerySpec is one query of a batch: the core parameter k and a raw
@@ -46,11 +42,13 @@ type BatchResult struct {
 	Cancelled bool
 }
 
-// RunBatch executes many v2 Requests concurrently on a pool of workers,
-// each reusing pooled per-worker scratch state, so large query workloads
-// exploit every CPU without paying per-query setup allocations. Results
-// arrive at the index of their request; a request that fails validation
-// reports through its BatchResult.Err without failing the batch.
+// RunBatch executes many v2 Requests concurrently on a bounded pool of
+// workers, each running its items one after another on the same executor
+// as a direct execution (pooled scratch, serving cache), so large query
+// workloads exploit every CPU without paying per-query setup allocations.
+// Results arrive at the index of their request; a request that fails
+// validation reports through its BatchResult.Err without failing the
+// batch. The requests themselves are only read.
 //
 // Only one-shot enumeration requests built with Graph.Query may be
 // batched (prepared, watcher, snapshot and historical requests have their
@@ -58,7 +56,10 @@ type BatchResult struct {
 // reports an error in its slot. Requests built from Snapshots of the same
 // graph are accepted and execute pinned to their own epoch, so a serving
 // batch can mix epochs while the writer appends. Per-request options —
-// Window, Algorithm, Project, EarlyStop — all apply.
+// Window, Algorithm, Project, EarlyStop — all apply. Items on the same
+// (epoch, k, window) share one CoreTime build through the serving cache's
+// singleflight, with each other and with concurrent executions outside
+// the batch.
 //
 // Cancelling ctx stops the batch early: completed requests keep their
 // results, the in-flight ones are cut at the next poll stride, and every
@@ -76,10 +77,7 @@ func (g *Graph) RunBatch(ctx context.Context, reqs []*Request, opts ...BatchOpti
 	}
 
 	res := make([]BatchResult, len(reqs))
-	queries := make([]core.BatchQuery, 0, len(reqs))
-	sinks := make([]enum.Sink, 0, len(reqs))
-	run := make([]int, 0, len(reqs)) // batch item -> request index
-
+	items := make([]int, 0, len(reqs)) // batch item -> request index
 	for i, r := range reqs {
 		if r == nil {
 			res[i].Err = fmt.Errorf("temporalkcore: nil request in batch")
@@ -102,112 +100,33 @@ func (g *Graph) RunBatch(ctx context.Context, reqs []*Request, opts ...BatchOpti
 			res[i].Err = fmt.Errorf("temporalkcore: batched request belongs to a different graph")
 			continue
 		}
-		w, err := r.g.window(r.start, r.end)
-		if err != nil {
-			res[i].Err = err
-			continue
-		}
-		rr := &res[i]
-		proj := r.proj
-		if opt.CountOnly {
-			proj = ProjectCount
-		}
-		var sink enum.Sink
-		if proj == ProjectCount {
-			// Count straight off the edge-id slices: converting every edge
-			// to labels/raw times just to discard it would make count-only
-			// batches pay nearly the full materialisation CPU cost.
-			sink = &statsSink{qs: &rr.Stats}
-		} else {
-			sink = &projSink{g: r.g.g, proj: proj, qs: &rr.Stats, fn: func(c Core) bool {
-				cp := c
-				cp.Edges = append([]Edge(nil), c.Edges...)
-				cp.Vertices = append([]int64(nil), c.Vertices...)
-				rr.Cores = append(rr.Cores, cp)
-				return true
-			}}
-		}
-		if r.limit > 0 {
-			sink = &enum.LimitSink{Inner: sink, Max: int64(r.limit)}
-		}
-		queries = append(queries, core.BatchQuery{G: r.g.g, K: r.k, W: w, Opts: core.Options{Algorithm: r.algo}})
-		sinks = append(sinks, sink)
-		run = append(run, i)
+		items = append(items, i)
 	}
 
-	// Serving-cache hookup: every cacheable item resolves its CoreTime
-	// tables through the cache from inside the worker that claims it.
-	// Identical (epoch seq, k, window) keys collapse to one build via the
-	// cache's singleflight — the first worker builds, workers on the same
-	// key wait and share, and workers on other items keep pipelining (no
-	// batch-wide barrier). The build is also shared with concurrent
-	// executions outside the batch, and its tables stay resident for
-	// future ones. A resolve that fails (cancellation) falls back to the
-	// per-item engine, which reports the cancellation with the standard
-	// batch semantics.
-	type cacheInfo struct {
-		resolved bool
-		hit      bool
-		shared   bool
-		coreTime time.Duration
+	workers := opt.Parallelism
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	info := make([]cacheInfo, len(queries))
-	if c := g.cache(); c != nil {
-		for bi := range queries {
-			q := &queries[bi]
-			if !cacheable(q.Opts.Algorithm) {
-				continue
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(workers, len(items)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ctx.Err() == nil {
+				n := int(next.Add(1)) - 1
+				if n >= len(items) {
+					return
+				}
+				res[items[n]].run(ctx, reqs[items[n]], opt.CountOnly)
 			}
-			bi := bi
-			rg := reqs[run[bi]].g
-			key := rg.cacheKey(q.K, q.W, q.Opts.Algorithm)
-			q.Resolve = func(ctx context.Context) (*vct.Index, *vct.ECS, error) {
-				if ctx == nil {
-					ctx = context.Background()
-				}
-				if c.Uncacheable(key) {
-					return nil, nil, nil // known-oversize: build on pooled scratch instead
-				}
-				ent, how, err := c.GetOrBuild(ctx, key, func() (*qcache.Entry, error) {
-					return rg.buildCacheEntry(ctx, key.K, key.W)
-				})
-				if err != nil {
-					return nil, nil, err
-				}
-				// Each worker owns its item's slot; no synchronisation
-				// needed.
-				in := &info[bi]
-				in.resolved = true
-				in.hit = how != qcache.Built
-				in.shared = how == qcache.Shared
-				if how == qcache.Built {
-					in.coreTime = ent.CoreTime
-				}
-				return ent.Ix, ent.Ecs, nil
-			}
-		}
+		}()
 	}
-
-	batch := core.QueryBatch(ctx, g.g, queries, opt.Parallelism, func(i int) enum.Sink { return sinks[i] })
-	for bi, br := range batch {
-		r := &res[run[bi]]
-		r.Err = br.Err
-		r.Cancelled = br.Cancelled
-		if br.Err != nil {
-			if !br.Cancelled {
-				r.Cores = nil
-				r.Stats = QueryStats{}
-			}
-			continue
-		}
-		r.Stats.VCTSize = br.Stats.VCTSize
-		r.Stats.ECSSize = br.Stats.ECSSize
-		r.Stats.CoreTime = br.Stats.CoreTime
-		r.Stats.EnumTime = br.Stats.EnumTime
-		if in := info[bi]; in.resolved {
-			r.Stats.CacheHit = in.hit
-			r.Stats.CacheShared = in.shared
-			r.Stats.CoreTime = in.coreTime // zero unless this item ran the build
+	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		// Items no worker claimed before the cancellation.
+		for _, i := range items[min(int(next.Load()), len(items)):] {
+			res[i].Err, res[i].Cancelled = err, true
 		}
 	}
 	// Honour each request's Stats destination, matching the direct
@@ -218,6 +137,27 @@ func (g *Graph) RunBatch(ctx context.Context, reqs []*Request, opts ...BatchOpti
 		}
 	}
 	return res
+}
+
+// run executes one batch item into br. Count-only items tally off the
+// engine's edge ids and leave Cores nil: converting every edge to labels
+// and raw times just to discard it would make them pay nearly the full
+// materialisation cost. A failed item keeps its partial cores only when
+// the batch was cancelled.
+func (br *BatchResult) run(ctx context.Context, r *Request, countOnly bool) {
+	var fn func(Core) bool
+	if !countOnly && r.proj != ProjectCount {
+		fn = func(c Core) bool {
+			br.Cores = append(br.Cores, c.clone())
+			return true
+		}
+	}
+	if br.Err = r.exec(ctx, &br.Stats, fn); br.Err != nil {
+		br.Cancelled = br.Err == ctx.Err()
+		if !br.Cancelled {
+			br.Cores, br.Stats = nil, QueryStats{}
+		}
+	}
 }
 
 // QueryBatch executes many (k, time-range) query specs concurrently; see
@@ -242,16 +182,6 @@ func (g *Graph) QueryBatch(specs []QuerySpec, opts ...BatchOptions) []BatchResul
 		res[i].Spec = sp // preserve the caller's spec verbatim
 	}
 	return res
-}
-
-// statsSink counts cores and |R| directly from the emitted edge-id slices,
-// with none of projSink's per-edge label/time conversion.
-type statsSink struct{ qs *QueryStats }
-
-func (s *statsSink) Emit(_ tgraph.Window, eids []tgraph.EID) bool {
-	s.qs.Cores++
-	s.qs.Edges += int64(len(eids))
-	return true
 }
 
 // CountBatch is QueryBatch with BatchOptions.CountOnly set: it returns the

@@ -2,7 +2,6 @@ package temporalkcore
 
 import (
 	"context"
-	"errors"
 	"time"
 
 	"temporalkcore/internal/core"
@@ -104,22 +103,15 @@ func (g *Graph) CacheStats() CacheStats {
 // cache returns the hub's serving cache, or nil when disabled.
 func (g *Graph) cache() *qcache.Cache { return g.hub.cache.Load() }
 
-// cacheKey is the serving-cache key of a compiled (k, window) plan on this
-// graph state. Every caller gates on cacheable() first, so the only
-// algorithm that reaches here is AlgoEnum; the discriminator is qcache's
-// canonical constant — shared with the dyn refresh path — rather than the
-// public iota, so keys stay stable if Algorithm values are ever
-// reordered.
-func (g *Graph) cacheKey(k int, w tgraph.Window, algo Algorithm) qcache.Key {
-	_ = algo // gated to AlgoEnum by cacheable()
+// cacheKey is the serving-cache key of a compiled Enum (k, window) plan
+// on this graph state. Only the optimal Enum's CoreTime phase is memoised:
+// OTCD has none, and EnumBase exists to be measured against Enum, which
+// serving it from Enum's entries would defeat. The discriminator is
+// qcache's canonical constant, shared with the dyn refresh and shard span
+// paths, so keys stay stable if Algorithm values are ever reordered.
+func (g *Graph) cacheKey(k int, w tgraph.Window) qcache.Key {
 	return qcache.Key{Seq: g.g.MutSeq(), K: k, W: w, Algo: qcache.AlgoEnum}
 }
-
-// cacheable reports whether an algorithm's CoreTime phase is memoised.
-// Only the optimal Enum is: OTCD has no CoreTime phase at all, and
-// EnumBase exists to be measured against Enum, which double-serving it
-// from Enum's cache entries would defeat.
-func cacheable(a Algorithm) bool { return a == AlgoEnum }
 
 // buildCacheEntry runs the CoreTime phase for (k, w) with self-owned
 // outputs, as a qcache build function: cancellation arrives as ctx's error.
@@ -127,12 +119,7 @@ func (g *Graph) buildCacheEntry(ctx context.Context, k int, w tgraph.Window) (*q
 	began := time.Now()
 	ix, ecs, err := vct.BuildStop(g.g, k, w, core.StopFromCtx(ctx))
 	if err != nil {
-		if errors.Is(err, vct.ErrStopped) {
-			if cerr := ctx.Err(); cerr != nil {
-				err = cerr
-			}
-		}
-		return nil, err
+		return nil, core.StopErr(ctx, err)
 	}
 	return qcache.NewEntry(ix, ecs, time.Since(began)), nil
 }

@@ -36,7 +36,6 @@ func runServe(args []string) {
 		dataDir       = fs.String("data", "", "data directory for durability: WAL-logged appends, snapshots, warm restarts")
 		snapEvery     = fs.Duration("snapshot-every", 0, "background snapshot interval with -data (0: only on shutdown and POST /v1/snapshot)")
 		shards        = fs.Int("shards", 0, "serve time-range shards: initial partition count (0: unsharded; requires -graph or a sharded -data dir)")
-		shardReplicas = fs.Int("shard-replicas", 0, "reader replicas per shard (0: default)")
 		maxShardEdges = fs.Int("max-shard-edges", 0, "auto-seal the frontier shard once it holds this many edges (0: manual/initial partition only)")
 	)
 	fs.Parse(args)
@@ -53,7 +52,7 @@ func runServe(args []string) {
 	var durable *tkc.DurableGraph
 	var sharded *tkc.ShardedGraph
 	if *shards > 0 {
-		so := tkc.ShardOptions{Shards: *shards, Replicas: *shardReplicas, MaxShardEdges: *maxShardEdges}
+		so := tkc.ShardOptions{Shards: *shards, MaxShardEdges: *maxShardEdges}
 		switch {
 		case *dataDir != "":
 			sg, err := tkc.OpenShardedDir(*dataDir, so)

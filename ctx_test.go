@@ -47,6 +47,17 @@ func TestCancelPreCancelled(t *testing.T) {
 	if _, err := w.Query().Collect(ctx); !errors.Is(err, context.Canceled) {
 		t.Errorf("watcher Collect = %v, want context.Canceled", err)
 	}
+	sg, err := tkc.ShardGraph(g, tkc.ShardOptions{Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sg.Close()
+	if _, err := sg.Query(2).Collect(ctx); !errors.Is(err, context.Canceled) {
+		t.Errorf("sharded Collect = %v, want context.Canceled", err)
+	}
+	if _, err := sg.Query(2).Count(ctx); !errors.Is(err, context.Canceled) {
+		t.Errorf("sharded Count = %v, want context.Canceled", err)
+	}
 	if _, _, err := g.Query(2).Snapshot(1).First(ctx); !errors.Is(err, context.Canceled) {
 		t.Errorf("snapshot First = %v, want context.Canceled", err)
 	}
@@ -140,31 +151,40 @@ func TestCancelMidCoreTime(t *testing.T) {
 // as the final stream element.
 func TestCancelMidEnumeration(t *testing.T) {
 	g := reqGraph(t, 11, 60, 2000)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	var cores, errs int
-	var lastErr error
-	for _, err := range g.Query(2).Seq(ctx) {
-		if err != nil {
-			errs++
-			lastErr = err
-			continue
-		}
-		cores++
-		cancel() // cancel mid-enumeration, keep ranging
-	}
-	if errs != 1 || !errors.Is(lastErr, context.Canceled) {
-		t.Fatalf("stream after mid-enumeration cancel: %d cores, %d errs, last %v", cores, errs, lastErr)
-	}
-	// The enumeration polls every stride start times, so a handful of
-	// cores may still arrive after the cancel — but not the full result.
-	total, err := g.Query(2).Count(context.Background())
+	sg, err := tkc.ShardGraph(g, tkc.ShardOptions{Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if int64(cores) >= total.Cores {
-		t.Errorf("cancel did not stop the enumeration: %d of %d cores emitted", cores, total.Cores)
+	defer sg.Close()
+	for _, src := range []struct {
+		name string
+		q    tkc.Querier
+	}{{"unsharded", g}, {"sharded", sg.Latest()}} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var cores, errs int
+		var lastErr error
+		for _, err := range src.q.Query(2).Seq(ctx) {
+			if err != nil {
+				errs++
+				lastErr = err
+				continue
+			}
+			cores++
+			cancel() // cancel mid-enumeration, keep ranging
+		}
+		cancel()
+		if errs != 1 || !errors.Is(lastErr, context.Canceled) {
+			t.Fatalf("%s stream after mid-enumeration cancel: %d cores, %d errs, last %v", src.name, cores, errs, lastErr)
+		}
+		// The enumeration polls every stride start times, so a handful of
+		// cores may still arrive after the cancel — but not the full result.
+		total, err := src.q.Query(2).Count(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int64(cores) >= total.Cores {
+			t.Errorf("%s: cancel did not stop the enumeration: %d of %d cores emitted", src.name, cores, total.Cores)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package temporalkcore
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -12,7 +11,6 @@ import (
 	"temporalkcore/internal/phc"
 	"temporalkcore/internal/qcache"
 	"temporalkcore/internal/tgraph"
-	"temporalkcore/internal/vct"
 )
 
 // histScratch pools the vertex/edge id buffers of historical index
@@ -30,27 +28,27 @@ var histPool = sync.Pool{New: func() any { return new(histScratch) }}
 // emitted as one Core (or none when empty). It reads only the epoch pinned
 // inside the index, never the live graph, so it is safe concurrently with
 // appends.
-func (r *Request) runHistorical(ctx context.Context, qs *QueryStats, fn func(Core) bool) (QueryStats, error) {
+func (r *Request) runHistorical(ctx context.Context, qs *QueryStats, proj Projection, fn func(Core) bool) error {
 	h := r.hix
 	w, err := h.window(r.start, r.end)
 	if err != nil {
-		return *qs, err
+		return err
 	}
 	if err := ctx.Err(); err != nil {
-		return *qs, err
+		return err
 	}
 	began := time.Now()
 	s := histPool.Get().(*histScratch)
-	if r.proj == ProjectVertices {
+	if proj == ProjectVertices {
 		s.vids = h.ix.CoreVertices(h.at, r.k, w, s.vids[:0])
-		r.emitSnapshot(qs, fn, h.at, w, s.vids, nil)
+		emitSnapshot(qs, proj, fn, h.at, w, s.vids, nil)
 	} else {
 		s.eids = h.ix.CoreEdges(h.at, r.k, w, s.eids[:0])
-		r.emitSnapshot(qs, fn, h.at, w, nil, s.eids)
+		emitSnapshot(qs, proj, fn, h.at, w, nil, s.eids)
 	}
 	histPool.Put(s) // emitSnapshot copies into the output Core; the ids are free again
 	qs.EnumTime = time.Since(began)
-	return *qs, nil
+	return nil
 }
 
 // HistoricalIndex answers historical k-core queries — "which vertices form
@@ -176,12 +174,7 @@ func (g *Graph) buildOrPatchPHC(ctx context.Context, at *tgraph.Graph, w tgraph.
 		ix, err = phc.BuildStop(at, w, stop)
 	}
 	if err != nil {
-		if errors.Is(err, vct.ErrStopped) {
-			if cerr := ctx.Err(); cerr != nil {
-				err = cerr
-			}
-		}
-		return nil, err
+		return nil, core.StopErr(ctx, err)
 	}
 	g.hub.lastHist.Store(ix)
 	return ix, nil

@@ -8,37 +8,13 @@ import (
 
 	"temporalkcore/internal/enum"
 	"temporalkcore/internal/tgraph"
-	"temporalkcore/internal/vct"
 )
 
-// BatchQuery is one (k, window) item of a batch run. G, when non-nil,
-// overrides the batch-wide graph for this item — the hook that lets one
-// batch mix requests pinned to different frozen epochs of the same graph.
-//
-// Ix and Ecs, when both non-nil, are prebuilt CoreTime tables for exactly
-// (G, K, W) — typically a serving-cache entry — and the item skips the
-// CoreTime phase entirely, paying only the enumeration. Prebuilt tables
-// apply to AlgoEnum items only (OTCD has no CoreTime phase; EnumBase runs
-// its own dedup pipeline) and must stay immutable for the batch's
-// duration.
-//
-// Resolve, when non-nil (and Ix/Ecs are not already set), is called by the
-// worker that claims the item to obtain its tables — the serving cache's
-// hook: a hit returns instantly, a miss builds under the cache's
-// singleflight so identical items in the batch (and concurrent executions
-// outside it) share one build while workers keep pipelining other items.
-// Returning an error (or nil tables) falls back to the item building its
-// own tables via the ordinary engine.
+// BatchQuery is one (k, window) item of a batch run.
 type BatchQuery struct {
-	G    *tgraph.Graph
 	K    int
 	W    tgraph.Window
 	Opts Options
-
-	Ix  *vct.Index
-	Ecs *vct.ECS
-
-	Resolve func(ctx context.Context) (*vct.Index, *vct.ECS, error)
 }
 
 // BatchResult is the outcome of one batch item.
@@ -97,23 +73,7 @@ func QueryBatch(ctx context.Context, g *tgraph.Graph, queries []BatchQuery, para
 				if q.Opts.Ctx == nil {
 					q.Opts.Ctx = ctx
 				}
-				qg := q.G
-				if qg == nil {
-					qg = g
-				}
-				if q.Ix == nil && q.Resolve != nil && q.Opts.Algorithm == AlgoEnum {
-					if ix, ecs, err := q.Resolve(q.Opts.Ctx); err == nil && ix != nil && ecs != nil {
-						q.Ix, q.Ecs = ix, ecs
-					}
-					// On error (typically cancellation) fall through: the
-					// ordinary engine re-checks the context and reports the
-					// cancellation with the standard batch semantics.
-				}
-				if q.Ix != nil && q.Ecs != nil && q.Opts.Algorithm == AlgoEnum {
-					res[i].Stats, res[i].Err = EnumeratePrebuilt(qg, q.Ix, q.Ecs, sinkFor(i), q.Opts, s)
-				} else {
-					res[i].Stats, res[i].Err = QueryWith(qg, q.K, q.W, sinkFor(i), q.Opts, s)
-				}
+				res[i].Stats, res[i].Err = QueryWith(g, q.K, q.W, sinkFor(i), q.Opts, s)
 				if res[i].Err != nil && ctx != nil && res[i].Err == ctx.Err() {
 					res[i].Cancelled = true
 				}

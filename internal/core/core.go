@@ -109,6 +109,18 @@ func StopFromCtx(ctx context.Context) func() bool {
 	}
 }
 
+// StopErr converts the engines' vct.ErrStopped into the context's own
+// error when cancellation is what fired, so every execution layer reports
+// a cancelled CoreTime phase as ctx.Err(). A nil ctx never cancels.
+func StopErr(ctx context.Context, err error) error {
+	if errors.Is(err, vct.ErrStopped) {
+		if cerr := ctxErr(ctx); cerr != nil {
+			return cerr
+		}
+	}
+	return err
+}
+
 // mergeStop combines two optional poll hooks.
 func mergeStop(a, b func() bool) func() bool {
 	if a == nil {
@@ -178,12 +190,7 @@ func QueryWith(g *tgraph.Graph, k int, w tgraph.Window, sink enum.Sink, opts Opt
 	start := time.Now()
 	ix, ecs, err := vct.BuildScratchStop(g, k, w, &s.vct, cancel)
 	if err != nil {
-		if errors.Is(err, vct.ErrStopped) {
-			if cerr := ctxErr(opts.Ctx); cerr != nil {
-				err = cerr
-			}
-		}
-		return st, err
+		return st, StopErr(opts.Ctx, err)
 	}
 	st.CoreTime = time.Since(start)
 	st.VCTSize = ix.Size()
@@ -211,37 +218,6 @@ func QueryWith(g *tgraph.Graph, k int, w tgraph.Window, sink enum.Sink, opts Opt
 		return st, fmt.Errorf("core: unknown algorithm %v", opts.Algorithm)
 	}
 	st.EnumTime = time.Since(start)
-	st.Stopped = !ok
-	return st, nil
-}
-
-// EnumeratePrebuilt runs only the enumeration phase of a query against
-// prebuilt CoreTime tables — a serving-cache entry, or any immutable
-// (Index, ECS) pair built for exactly this (g, k, w) — so repeat queries
-// pay O(lookup + |R|) instead of the CoreTime phase. Stats.CoreTime stays
-// zero: the build cost was paid by whoever produced the tables. Only the
-// optimal AlgoEnum consumes prebuilt tables.
-func EnumeratePrebuilt(g *tgraph.Graph, ix *vct.Index, ecs *vct.ECS, sink enum.Sink, opts Options, s *Scratch) (Stats, error) {
-	var st Stats
-	if g == nil {
-		return st, fmt.Errorf("core: nil graph")
-	}
-	if ix == nil || ecs == nil {
-		return st, fmt.Errorf("core: nil prebuilt tables")
-	}
-	if err := ctxErr(opts.Ctx); err != nil {
-		return st, err
-	}
-	st.VCTSize = ix.Size()
-	st.ECSSize = ecs.Size()
-	start := time.Now()
-	ok, cancelled := enum.EnumerateStop(g, ecs, sink, &s.enum, StopFromCtx(opts.Ctx))
-	st.EnumTime = time.Since(start)
-	if cancelled {
-		if err := ctxErr(opts.Ctx); err != nil {
-			return st, err
-		}
-	}
 	st.Stopped = !ok
 	return st, nil
 }

@@ -432,7 +432,6 @@ type shardJSON struct {
 	End       int64 `json:"end"`
 	Edges     int   `json:"edges"`
 	Seq       int64 `json:"seq"`
-	Replicas  int   `json:"replicas"`
 	Tasks     int64 `json:"tasks"`
 	CacheHits int64 `json:"cacheHits"`
 	Patched   int64 `json:"patched"`
@@ -469,7 +468,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		for _, ss := range s.sharded.ShardStats() {
 			resp.Shards = append(resp.Shards, shardJSON{
 				ID: ss.ID, Sealed: ss.Sealed, Start: ss.StartTime, End: ss.EndTime,
-				Edges: ss.Edges, Seq: ss.Seq, Replicas: ss.Replicas,
+				Edges: ss.Edges, Seq: ss.Seq,
 				Tasks: ss.Tasks, CacheHits: ss.CacheHits, Patched: ss.Patched,
 			})
 		}
@@ -539,7 +538,6 @@ func writeShardMetrics(b *strings.Builder, stats []tkc.ShardStats) {
 			return 0
 		}},
 		{"tkc_shard_edges", func(s tkc.ShardStats) float64 { return float64(s.Edges) }},
-		{"tkc_shard_replicas", func(s tkc.ShardStats) float64 { return float64(s.Replicas) }},
 		{"tkc_shard_tasks_total", func(s tkc.ShardStats) float64 { return float64(s.Tasks) }},
 		{"tkc_shard_cache_hits_total", func(s tkc.ShardStats) float64 { return float64(s.CacheHits) }},
 		{"tkc_shard_patched_total", func(s tkc.ShardStats) float64 { return float64(s.Patched) }},

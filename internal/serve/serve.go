@@ -59,7 +59,7 @@ type Config struct {
 	Durable *tkc.DurableGraph
 
 	// Sharded, when non-nil, serves a time-range sharded graph: queries
-	// scatter-gather across the shard set on per-shard replica pools,
+	// run one span per overlapping shard in the handler's goroutine,
 	// appends route through the frontier shard (auto-sealing per its
 	// ShardOptions), epoch pinning addresses published ShardedViews, and
 	// /v1/stats + /metrics carry per-shard serving counters. Takes

@@ -36,7 +36,7 @@ func newShardedServer(t testing.TB, edges []tkc.Edge, o tkc.ShardOptions, cfg se
 // and the trailer reports the scatter width.
 func TestShardedServeMatchesInProcess(t *testing.T) {
 	edges := genEdges(t, 7, 300)
-	sg, base := newShardedServer(t, edges, tkc.ShardOptions{Shards: 3, Replicas: 2}, serve.Config{})
+	sg, base := newShardedServer(t, edges, tkc.ShardOptions{Shards: 3}, serve.Config{})
 	spine := sg.Spine()
 	lo, hi := spine.TimeSpan()
 	mid := lo + (hi-lo)/2
@@ -86,7 +86,7 @@ func TestShardedServeAppendSealAndPinning(t *testing.T) {
 	edges := genEdges(t, 11, 360)
 	head, rest := edges[:240], edges[240:]
 	sg, base := newShardedServer(t, head,
-		tkc.ShardOptions{Shards: 2, MaxShardEdges: 60, Replicas: 2},
+		tkc.ShardOptions{Shards: 2, MaxShardEdges: 60},
 		serve.Config{EpochRetain: 16})
 	startShards := sg.NumShards()
 
@@ -157,7 +157,6 @@ func TestShardedServeAppendSealAndPinning(t *testing.T) {
 			ID        int   `json:"id"`
 			Sealed    bool  `json:"sealed"`
 			Edges     int   `json:"edges"`
-			Replicas  int   `json:"replicas"`
 			Tasks     int64 `json:"tasks"`
 			CacheHits int64 `json:"cacheHits"`
 		} `json:"shards"`
@@ -176,9 +175,6 @@ func TestShardedServeAppendSealAndPinning(t *testing.T) {
 		}
 		if sh.Sealed != (i < len(stats.Shards)-1) {
 			t.Fatalf("shards[%d].sealed = %v", i, sh.Sealed)
-		}
-		if sh.Replicas < 1 {
-			t.Fatalf("shards[%d].replicas = %d", i, sh.Replicas)
 		}
 		total += sh.Edges
 		tasks += sh.Tasks

@@ -1,5 +1,8 @@
 // Package shard partitions the temporal graph's time axis into contiguous
-// time-range shards and runs scatter-gather window queries across them.
+// time-range shards, routes a window query to the spans of the shards it
+// overlaps, and resolves each span's CoreTime tables (Resolve). The caller
+// enumerates the spans one after another in its own goroutine; the
+// package starts none.
 //
 // The append-only frontier makes the partition trivial to maintain: edges
 // only ever arrive at (or after) the newest timestamp, so every shard but
@@ -11,14 +14,14 @@
 // Queries decompose exactly along the start axis: the enumeration emits
 // every distinct temporal k-core in ascending tightest-start order, and a
 // core whose tightest start falls in shard i's range is fully determined
-// by the edges in [start, queryEnd] — a suffix window the shard's task
+// by the edges in [start, queryEnd] — a suffix window the shard's span
 // computes on the shared spine graph. Each overlapping shard therefore
 // contributes the cores whose tightest start lands in its slice, boundary
 // cores (those whose window crosses the cut) included: the shard's cached
 // local CoreTime index vouches for in-shard core times, and a
 // vct.PatchScratch boundary re-settle extends exactly the vertices whose
-// core windows cross the cut. Concatenating the per-shard streams in shard
-// order reproduces the unsharded enumeration byte for byte.
+// core windows cross the cut. Enumerating the spans in shard order
+// reproduces the unsharded enumeration byte for byte.
 package shard
 
 import (

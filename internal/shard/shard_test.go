@@ -151,16 +151,46 @@ func TestDirectorySealValidation(t *testing.T) {
 	}
 }
 
+// query runs a window query the way the public executor does: each span's
+// tables from Resolve, counted into c and enumerated over the span's slice
+// of the start axis, in shard order and in this goroutine. hits counts the
+// spans served from resident or shared tables.
+func query(ctx context.Context, g *tgraph.Graph, w tgraph.Window, d *shard.Directory, cache *qcache.Cache, c *shard.Counters, emit sinkFunc) (hits int, err error) {
+	vs := vct.GetScratch()
+	defer vct.PutScratch(vs)
+	es := enum.GetScratch()
+	defer enum.PutScratch(es)
+	stop := func() bool { return ctx.Err() != nil }
+	for _, sp := range d.Spans(w) {
+		t, err := shard.Resolve(ctx, g, 2, cache, sp, vs, stop)
+		if err != nil {
+			return hits, err
+		}
+		c.Add(sp.Shard, t)
+		if t.Outcome != qcache.Built {
+			hits++
+		}
+		done, cancelled := enum.EnumerateRangeStop(g, t.Ecs, emit, es, sp.LastStart, stop)
+		if cancelled {
+			return hits, ctx.Err()
+		}
+		if !done {
+			break
+		}
+	}
+	return hits, nil
+}
+
 // TestQueryMatchesOracle locks the scatter-gather contract at the package
-// level: merged span output is identical to the unsharded enumeration, for
-// windows inside one shard, spanning cuts, and covering everything — with
-// and without a cache, warm and cold.
+// level: span output concatenated in shard order is identical to the
+// unsharded enumeration, for windows inside one shard, spanning cuts, and
+// covering everything — with and without a cache, warm and cold.
 func TestQueryMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 6; trial++ {
 		g := randomGraph(rng, 16, 260, 24)
 		d := directoryFor(t, g, 2+trial%3)
-		rt := shard.NewRuntime(1 + trial%3)
+		var counters shard.Counters
 		caches := []*qcache.Cache{nil, qcache.New(1 << 20)}
 		for _, cache := range caches {
 			for pass := 0; pass < 2; pass++ { // second pass hits the warm path
@@ -174,19 +204,17 @@ func TestQueryMatchesOracle(t *testing.T) {
 					}
 					want := collectOracle(t, g, 2, w)
 					var got []emitted
-					st, err := rt.Query(context.Background(), shard.Params{
-						G: g, K: 2, W: w, Dir: d, Cache: cache,
-					}, func(win tgraph.Window, eids []tgraph.EID) bool {
+					_, err := query(context.Background(), g, w, d, cache, &counters, func(win tgraph.Window, eids []tgraph.EID) bool {
 						cp := make([]tgraph.EID, len(eids))
 						copy(cp, eids)
 						got = append(got, emitted{win, cp})
 						return true
 					})
 					if err != nil {
-						t.Fatalf("Query: %v", err)
+						t.Fatalf("query: %v", err)
 					}
 					if len(got) != len(want) {
-						t.Fatalf("trial %d w=%v: %d cores, want %d (stats %+v)", trial, w, len(got), len(want), st)
+						t.Fatalf("trial %d w=%v: %d cores, want %d", trial, w, len(got), len(want))
 					}
 					for i := range want {
 						if !reflect.DeepEqual(got[i], want[i]) {
@@ -196,56 +224,54 @@ func TestQueryMatchesOracle(t *testing.T) {
 				}
 			}
 		}
-		rt.Close()
 	}
 }
 
 // TestQueryWarmCacheHits asserts the second identical query serves every
-// sealed span from its cached local index.
+// span from cached tables, and that the counters saw every shard.
 func TestQueryWarmCacheHits(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := randomGraph(rng, 14, 200, 20)
 	d := directoryFor(t, g, 3)
-	rt := shard.NewRuntime(2)
-	defer rt.Close()
+	var counters shard.Counters
 	cache := qcache.New(1 << 20)
 	w := tgraph.Window{Start: 1, End: g.TMax()}
-	run := func() shard.Stats {
-		st, err := rt.Query(context.Background(), shard.Params{G: g, K: 2, W: w, Dir: d, Cache: cache},
+	run := func() int {
+		hits, err := query(context.Background(), g, w, d, cache, &counters,
 			func(tgraph.Window, []tgraph.EID) bool { return true })
 		if err != nil {
-			t.Fatalf("Query: %v", err)
+			t.Fatalf("query: %v", err)
 		}
-		return st
+		return hits
 	}
 	run()
-	st := run()
-	if st.CacheHits != st.Spans {
-		t.Fatalf("warm query: %d/%d spans hit the cache (stats %+v)", st.CacheHits, st.Spans, st)
+	if hits, spans := run(), len(d.Spans(w)); hits != spans {
+		t.Fatalf("warm query: %d/%d spans hit the cache", hits, spans)
 	}
 	for i := 0; i < d.NumShards(); i++ {
-		ps := rt.Stats(i)
-		if ps.Tasks == 0 {
-			t.Fatalf("shard %d pool served no tasks", i)
+		c := counters.Get(i)
+		if c.Tasks != 2 || c.CacheHits != 1 {
+			t.Fatalf("shard %d counters %+v, want 2 spans with 1 cache hit", i, c)
 		}
+	}
+	if c := counters.Get(d.NumShards()); c != (shard.Counts{}) {
+		t.Fatalf("counters of a shard that does not exist: %+v", c)
 	}
 }
 
 // TestQueryEarlyStop verifies the consumer can stop mid-stream without an
-// error and without wedging the workers.
+// error.
 func TestQueryEarlyStop(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	g := randomGraph(rng, 14, 220, 20)
 	d := directoryFor(t, g, 3)
-	rt := shard.NewRuntime(1)
-	defer rt.Close()
 	w := tgraph.Window{Start: 1, End: g.TMax()}
 	want := collectOracle(t, g, 2, w)
 	if len(want) < 3 {
 		t.Skip("graph too sparse for an early-stop test")
 	}
 	seen := 0
-	_, err := rt.Query(context.Background(), shard.Params{G: g, K: 2, W: w, Dir: d},
+	_, err := query(context.Background(), g, w, d, nil, new(shard.Counters),
 		func(win tgraph.Window, eids []tgraph.EID) bool {
 			seen++
 			return seen < 2
@@ -258,34 +284,19 @@ func TestQueryEarlyStop(t *testing.T) {
 	}
 }
 
-// TestQueryAfterClose locks the shutdown contract.
-func TestQueryAfterClose(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	g := randomGraph(rng, 10, 80, 10)
-	d := directoryFor(t, g, 2)
-	rt := shard.NewRuntime(1)
-	rt.Close()
-	rt.Close() // idempotent
-	_, err := rt.Query(context.Background(), shard.Params{G: g, K: 2, W: tgraph.Window{Start: 1, End: g.TMax()}, Dir: d},
-		func(tgraph.Window, []tgraph.EID) bool { return true })
-	if err != shard.ErrClosed {
-		t.Fatalf("err = %v, want ErrClosed", err)
-	}
-}
-
 // TestQueryCancelledContext verifies a cancelled context surfaces as its
 // own error.
 func TestQueryCancelledContext(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	g := randomGraph(rng, 12, 160, 16)
 	d := directoryFor(t, g, 3)
-	rt := shard.NewRuntime(1)
-	defer rt.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := rt.Query(ctx, shard.Params{G: g, K: 2, W: tgraph.Window{Start: 1, End: g.TMax()}, Dir: d},
-		func(tgraph.Window, []tgraph.EID) bool { return true })
-	if err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	for _, cache := range []*qcache.Cache{nil, qcache.New(1 << 20)} {
+		_, err := query(ctx, g, tgraph.Window{Start: 1, End: g.TMax()}, d, cache, new(shard.Counters),
+			func(tgraph.Window, []tgraph.EID) bool { return true })
+		if err != context.Canceled {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
 	}
 }

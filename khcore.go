@@ -10,19 +10,19 @@ import (
 
 // runSnapshot executes a Snapshot(h) request: the single (k, h)-core of
 // the snapshot over the window, emitted as one Core (or none when empty).
-func (r *Request) runSnapshot(ctx context.Context, qs *QueryStats, fn func(Core) bool) (QueryStats, error) {
+func (r *Request) runSnapshot(ctx context.Context, qs *QueryStats, proj Projection, fn func(Core) bool) error {
 	w, err := r.g.window(r.start, r.end)
 	if err != nil {
-		return *qs, err
+		return err
 	}
 	if err := ctx.Err(); err != nil {
-		return *qs, err
+		return err
 	}
 	began := time.Now()
 	p := khcore.NewPeeler(r.g.g)
 	var vids []tgraph.VID
 	var eids []tgraph.EID
-	if r.proj == ProjectVertices {
+	if proj == ProjectVertices {
 		inCore, n := p.CoreOfWindow(r.k, r.h, w)
 		vids = make([]tgraph.VID, 0, n)
 		for v, in := range inCore {
@@ -33,9 +33,9 @@ func (r *Request) runSnapshot(ctx context.Context, qs *QueryStats, fn func(Core)
 	} else {
 		eids = p.CoreEdges(r.k, r.h, w, nil)
 	}
-	r.emitSnapshot(qs, fn, r.g.g, w, vids, eids)
+	emitSnapshot(qs, proj, fn, r.g.g, w, vids, eids)
 	qs.EnumTime = time.Since(began)
-	return *qs, nil
+	return nil
 }
 
 // KHCore returns the members of the (k, h)-core of the snapshot over the

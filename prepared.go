@@ -2,11 +2,9 @@ package temporalkcore
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
-	"temporalkcore/internal/core"
 	"temporalkcore/internal/qcache"
 	"temporalkcore/internal/tgraph"
 	"temporalkcore/internal/vct"
@@ -66,30 +64,22 @@ func (g *Graph) PrepareContext(ctx context.Context, k int, start, end int64) (*P
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	build := func() (*qcache.Entry, error) { return g.buildCacheEntry(ctx, k, w) }
+	var ent *qcache.Entry
+	how := qcache.Built
 	if c := g.cache(); c != nil {
-		ent, how, err := c.GetOrBuild(ctx, g.cacheKey(k, w, AlgoEnum), func() (*qcache.Entry, error) {
-			return g.buildCacheEntry(ctx, k, w)
-		})
-		if err != nil {
-			return nil, err
-		}
-		coreTime := time.Duration(0)
-		if how == qcache.Built {
-			coreTime = ent.CoreTime
-		}
-		return &PreparedQuery{g: g, k: k, w: w, ix: ent.Ix, ecs: ent.Ecs, coreTime: coreTime}, nil
+		ent, how, err = c.GetOrBuild(ctx, g.cacheKey(k, w), build)
+	} else {
+		ent, err = build()
 	}
-	began := time.Now()
-	ix, ecs, err := vct.BuildStop(g.g, k, w, core.StopFromCtx(ctx))
 	if err != nil {
-		if errors.Is(err, vct.ErrStopped) {
-			if cerr := ctx.Err(); cerr != nil {
-				err = cerr
-			}
-		}
 		return nil, err
 	}
-	return &PreparedQuery{g: g, k: k, w: w, ix: ix, ecs: ecs, coreTime: time.Since(began)}, nil
+	p := &PreparedQuery{g: g, k: k, w: w, ix: ent.Ix, ecs: ent.Ecs}
+	if how == qcache.Built {
+		p.coreTime = ent.CoreTime
+	}
+	return p, nil
 }
 
 // K returns the query's core parameter.

@@ -2,7 +2,6 @@ package temporalkcore
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"iter"
 	"math"
@@ -225,10 +224,7 @@ func (r *Request) Seq(ctx context.Context) iter.Seq2[Core, error] {
 	return func(yield func(Core, error) bool) {
 		broke := false
 		_, err := r.run(ctx, func(c Core) bool {
-			cp := c
-			cp.Edges = append([]Edge(nil), c.Edges...)
-			cp.Vertices = append([]int64(nil), c.Vertices...)
-			if !yield(cp, nil) {
+			if !yield(c.clone(), nil) {
 				broke = true
 				return false
 			}
@@ -246,10 +242,7 @@ func (r *Request) Seq(ctx context.Context) iter.Seq2[Core, error] {
 func (r *Request) Collect(ctx context.Context) ([]Core, error) {
 	var out []Core
 	_, err := r.run(ctx, func(c Core) bool {
-		cp := c
-		cp.Edges = append([]Edge(nil), c.Edges...)
-		cp.Vertices = append([]int64(nil), c.Vertices...)
-		out = append(out, cp)
+		out = append(out, c.clone())
 		return true
 	})
 	return out, err
@@ -262,10 +255,7 @@ func (r *Request) First(ctx context.Context) (Core, bool, error) {
 	var first Core
 	found := false
 	_, err := r.run(ctx, func(c Core) bool {
-		first = c
-		first.Edges = append([]Edge(nil), c.Edges...)
-		first.Vertices = append([]int64(nil), c.Vertices...)
-		found = true
+		first, found = c.clone(), true
 		return false
 	})
 	return first, found, err
@@ -274,63 +264,69 @@ func (r *Request) First(ctx context.Context) (Core, bool, error) {
 // Count executes the request without materialising results and returns the
 // statistics (distinct cores, |R|, index sizes, phase timings).
 func (r *Request) Count(ctx context.Context) (QueryStats, error) {
-	save := r.proj
-	r.proj = ProjectCount
-	qs, err := r.run(ctx, func(Core) bool { return true })
-	r.proj = save
-	return qs, err
+	return r.run(ctx, nil)
 }
 
-// run compiles the request and executes it on its engine, pushing each
-// result core to fn. The Core passed to fn reuses buffers between calls;
-// public executors copy before handing cores out.
+// clone copies a core out of the engine's reused buffers.
+func (c Core) clone() Core {
+	c.Edges = append([]Edge(nil), c.Edges...)
+	c.Vertices = append([]int64(nil), c.Vertices...)
+	return c
+}
+
+// run executes the request, pushing each result core to fn, and records
+// its statistics into the Stats destination. A nil fn only counts: cores
+// and |R| are tallied off the engine's edge ids and no Core is built. The
+// Core passed to fn reuses buffers between calls; public executors copy
+// before handing cores out.
 //
 // tkc:allow-background: tolerates nil ctx from v1 callers
 func (r *Request) run(ctx context.Context, fn func(Core) bool) (QueryStats, error) {
-	var qs QueryStats
-	if r.statsDst != nil {
-		defer func() { *r.statsDst = qs }()
-	}
-	if r.err != nil {
-		return qs, r.err
-	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if r.limit > 0 {
-		inner := fn
-		left := r.limit
-		fn = func(c Core) bool {
-			if !inner(c) {
-				return false
-			}
-			left--
-			return left > 0
-		}
+	var qs QueryStats
+	err := r.exec(ctx, &qs, fn)
+	if r.statsDst != nil {
+		*r.statsDst = qs
+	}
+	return qs, err
+}
+
+// exec compiles the request and executes it into qs; see run. It only
+// reads the request.
+func (r *Request) exec(ctx context.Context, qs *QueryStats, fn func(Core) bool) error {
+	if r.err != nil {
+		return r.err
+	}
+	proj := r.proj
+	if fn == nil {
+		proj = ProjectCount
 	}
 	switch {
-	case r.sview != nil:
-		return r.runSharded(ctx, &qs, fn)
 	case r.hix != nil:
-		return r.runHistorical(ctx, &qs, fn)
+		return r.runHistorical(ctx, qs, proj, fn)
 	case r.h > 0:
-		return r.runSnapshot(ctx, &qs, fn)
-	case r.prep != nil:
-		return r.runPrepared(ctx, &qs, fn)
-	case r.watch != nil:
-		return r.runWatch(ctx, &qs, fn)
-	default:
-		return r.runOneShot(ctx, &qs, fn)
+		return r.runSnapshot(ctx, qs, proj, fn)
 	}
+	sink := &projSink{g: r.g.g, proj: proj, fn: fn, qs: qs, limit: int64(r.limit)}
+	if r.algo != AlgoEnum {
+		return r.runBaseline(ctx, qs, sink)
+	}
+	return r.enumerate(ctx, qs, sink)
 }
 
 // projSink converts engine emissions (compressed windows + edge ids) into
 // public Cores under the request's projection and forwards them to fn.
+// With a nil fn it is the id-only counting sink: it tallies cores and |R|
+// and converts nothing. A positive limit stops the engine after that many
+// cores.
 type projSink struct {
-	g    *tgraph.Graph
-	proj Projection
-	fn   func(Core) bool
-	qs   *QueryStats
+	g     *tgraph.Graph // the graph state the edge ids refer to
+	proj  Projection
+	fn    func(Core) bool
+	qs    *QueryStats
+	limit int64
 
 	ebuf []Edge
 	vbuf []int64
@@ -340,6 +336,14 @@ type projSink struct {
 func (s *projSink) Emit(tti tgraph.Window, eids []tgraph.EID) bool {
 	s.qs.Cores++
 	s.qs.Edges += int64(len(eids))
+	if s.fn != nil && !s.fn(s.project(tti, eids)) {
+		return false
+	}
+	return s.limit == 0 || s.qs.Cores < s.limit
+}
+
+// project builds the public Core of one emission in the sink's buffers.
+func (s *projSink) project(tti tgraph.Window, eids []tgraph.EID) Core {
 	rs, re := s.g.RawWindow(tti)
 	c := Core{Start: rs, End: re}
 	switch s.proj {
@@ -377,138 +381,119 @@ func (s *projSink) Emit(tti tgraph.Window, eids []tgraph.EID) bool {
 		sort.Slice(s.vbuf, func(a, b int) bool { return s.vbuf[a] < s.vbuf[b] })
 		c.Vertices = s.vbuf
 	}
-	return s.fn(c)
+	return c
 }
 
-// runSharded executes the request as a scatter-gather over the view's
-// shards: the plan pins the view's epoch and directory, each overlapping
-// shard runs its span on its replica pool (cached local CoreTime index +
-// boundary re-settle for sealed shards), and the gathered stream — merged
-// in shard order — is byte-identical to the unsharded enumeration of the
-// same window on the same epoch.
-func (r *Request) runSharded(ctx context.Context, qs *QueryStats, fn func(Core) bool) (QueryStats, error) {
-	v := r.sview
-	w, err := r.g.window(r.start, r.end)
-	if err != nil {
-		return *qs, err
-	}
-	sink := &projSink{g: r.g.g, proj: r.proj, fn: fn, qs: qs}
-	st, err := v.sg.rt.Query(ctx, shard.Params{
-		G: r.g.g, K: r.k, W: w, Dir: v.dir, Cache: r.g.cache(),
-	}, sink.Emit)
-	qs.Shards, qs.Patched = st.Spans, st.Patched
-	qs.CoreTime, qs.EnumTime = st.CoreTime, st.EnumTime
-	qs.CacheHit = st.Spans > 0 && st.CacheHits == st.Spans
-	return *qs, err
-}
-
-// runOneShot executes the request through the core engine: CoreTime phase
-// plus enumeration, both on pooled scratch and cancellable via ctx. With
-// the serving cache enabled, the CoreTime phase is consulted from — and on
-// a miss inserted into — the cache under (epoch seq, k, window, algo), so
-// a repeat query on the same graph state pays only the enumeration.
-func (r *Request) runOneShot(ctx context.Context, qs *QueryStats, fn func(Core) bool) (QueryStats, error) {
-	w, err := r.g.window(r.start, r.end)
-	if err != nil {
-		return *qs, err
-	}
-	sink := &projSink{g: r.g.g, proj: r.proj, fn: fn, qs: qs}
-	// A key whose tables are known to exceed the whole cache budget takes
-	// the uncached pooled-scratch path below: rebuilding retained tables
-	// that can never be admitted would be strictly worse than both.
-	if c := r.g.cache(); c != nil && cacheable(r.algo) {
-		if key := r.g.cacheKey(r.k, w, r.algo); !c.Uncacheable(key) {
-			ent, how, err := c.GetOrBuild(ctx, key, func() (*qcache.Entry, error) {
-				return r.g.buildCacheEntry(ctx, r.k, w)
-			})
-			if err != nil {
-				return *qs, err
-			}
-			qs.CacheHit = how != qcache.Built
-			qs.CacheShared = how == qcache.Shared
-			if how == qcache.Built {
-				qs.CoreTime = ent.CoreTime
-			}
-			qs.VCTSize, qs.ECSSize = ent.Ix.Size(), ent.Ecs.Size()
-			s := core.GetScratch()
-			defer core.PutScratch(s)
-			st, err := core.EnumeratePrebuilt(r.g.g, ent.Ix, ent.Ecs, sink, core.Options{Ctx: ctx}, s)
-			qs.EnumTime = st.EnumTime
-			return *qs, err
+// enumerate is the one executor of every Enum request: one-shot, prepared,
+// watcher and sharded. For each span it takes the CoreTime skylines from
+// the request's source, then enumerates the span's slice of the start axis
+// into sink, all in the caller's goroutine. The source is the prepared
+// tables, the watcher's pinned view, or per span shard.Resolve: the
+// serving-cache entry of a window, or a sealed shard's cached local index
+// plus the boundary re-settle. An unsharded request is the one-span case.
+// A sharded one pins the view's epoch and directory and runs its spans in
+// shard order; cores partition by tightest start, so the span streams
+// concatenate to the unsharded stream of the same window, byte for byte.
+func (r *Request) enumerate(ctx context.Context, qs *QueryStats, sink *projSink) error {
+	var fixed *vct.ECS // the prepared or watcher tables; nil: resolve per span
+	spans := []shard.Span{{LastStart: tgraph.InfTime}}
+	if r.prep == nil && r.watch == nil {
+		w, err := r.g.window(r.start, r.end)
+		if err != nil {
+			return err
 		}
+		spans[0].Task = w
+		if r.sview != nil {
+			spans = r.sview.dir.Spans(w)
+			qs.Shards = len(spans)
+		}
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	stop := core.StopFromCtx(ctx)
+	switch {
+	case r.prep != nil:
+		fixed = r.prep.ecs
+		qs.VCTSize, qs.ECSSize = r.prep.ix.Size(), fixed.Size()
+	case r.watch != nil:
+		// A stale view is repaired (incrementally patched) first.
+		v, release, err := r.watch.acquireView(stop)
+		if err != nil {
+			return core.StopErr(ctx, err)
+		}
+		defer release()
+		fixed, sink.g = v.Ecs, v.G
+		qs.VCTSize, qs.ECSSize = v.Ix.Size(), fixed.Size()
+	}
+
+	vs := vct.GetScratch()
+	defer vct.PutScratch(vs)
+	es := enum.GetScratch()
+	defer enum.PutScratch(es)
+	hits := 0
+	for i, sp := range spans {
+		ecs := fixed
+		if ecs == nil {
+			t, err := shard.Resolve(ctx, r.g.g, r.k, r.g.cache(), sp, vs, stop)
+			if err != nil {
+				return err
+			}
+			if r.sview != nil {
+				r.sview.sg.counters.Add(sp.Shard, t)
+			}
+			ecs = t.Ecs
+			qs.VCTSize += t.Ix.Size()
+			qs.ECSSize += ecs.Size()
+			qs.CoreTime += t.CoreTime
+			if t.Outcome != qcache.Built {
+				hits++
+			}
+			qs.CacheHit = hits == i+1
+			qs.CacheShared = qs.CacheHit && (qs.CacheShared || t.Outcome == qcache.Shared)
+			if t.Patched {
+				qs.Patched++
+			}
+		}
+		began := time.Now()
+		done, cancelled := enum.EnumerateRangeStop(sink.g, ecs, sink, es, sp.LastStart, stop)
+		qs.EnumTime += time.Since(began)
+		if cancelled {
+			return ctx.Err()
+		}
+		if !done {
+			break // the sink stopped the stream
+		}
+	}
+	return nil
+}
+
+// runBaseline executes an EnumBase or OTCD request: the paper's baselines
+// run their own pipelines and bypass the serving cache.
+func (r *Request) runBaseline(ctx context.Context, qs *QueryStats, sink *projSink) error {
+	w, err := r.g.window(r.start, r.end)
+	if err != nil {
+		return err
 	}
 	st, err := core.Query(r.g.g, r.k, w, sink, core.Options{Algorithm: r.algo, Ctx: ctx})
 	if err != nil {
-		return *qs, err
+		return err
 	}
 	qs.VCTSize, qs.ECSSize = st.VCTSize, st.ECSSize
 	qs.CoreTime, qs.EnumTime = st.CoreTime, st.EnumTime
-	return *qs, nil
-}
-
-// runPrepared re-enumerates the prepared CoreTime tables; only EnumTime is
-// paid per execution (see PreparedQuery.PrepareTime).
-func (r *Request) runPrepared(ctx context.Context, qs *QueryStats, fn func(Core) bool) (QueryStats, error) {
-	p := r.prep
-	qs.VCTSize, qs.ECSSize = p.ix.Size(), p.ecs.Size()
-	if err := ctx.Err(); err != nil {
-		return *qs, err
-	}
-	sink := &projSink{g: p.g.g, proj: r.proj, fn: fn, qs: qs}
-	s := enum.GetScratch()
-	defer enum.PutScratch(s)
-	began := time.Now()
-	_, cancelled := enum.EnumerateStop(p.g.g, p.ecs, sink, s, core.StopFromCtx(ctx))
-	qs.EnumTime = time.Since(began)
-	if cancelled {
-		return *qs, ctx.Err()
-	}
-	return *qs, nil
-}
-
-// runWatch pins the watcher's current table view — the epoch the compiled
-// plan executes against, held stable across concurrent writer refreshes —
-// and enumerates it with pooled per-call scratch, so any number of watcher
-// queries run concurrently with each other and with the appending writer.
-// A stale view is repaired first (incrementally patched, cancellable via
-// ctx with a bounded poll stride).
-func (r *Request) runWatch(ctx context.Context, qs *QueryStats, fn func(Core) bool) (QueryStats, error) {
-	w := r.watch
-	if err := ctx.Err(); err != nil {
-		return *qs, err
-	}
-	v, release, err := w.acquireView(core.StopFromCtx(ctx))
-	if err != nil {
-		if errors.Is(err, vct.ErrStopped) {
-			if cerr := ctx.Err(); cerr != nil {
-				err = cerr
-			}
-		}
-		return *qs, err
-	}
-	defer release()
-	qs.VCTSize, qs.ECSSize = v.Ix.Size(), v.Ecs.Size()
-	sink := &projSink{g: v.G, proj: r.proj, fn: fn, qs: qs}
-	s := enum.GetScratch()
-	defer enum.PutScratch(s)
-	began := time.Now()
-	_, cancelled := enum.EnumerateStop(v.G, v.Ecs, sink, s, core.StopFromCtx(ctx))
-	qs.EnumTime = time.Since(began)
-	if cancelled {
-		return *qs, ctx.Err()
-	}
-	return *qs, nil
+	return nil
 }
 
 // emitSnapshot assembles the single snapshot core of a window from its
 // vertex ids or edge ids (whichever the projection needs) and emits it —
 // the shared tail of the (k, h)-core and historical PHC engines. An empty
-// core emits nothing. g is the graph state the ids refer to — the live
-// epoch for (k, h)-cores, the pinned epoch for historical indexes.
-func (r *Request) emitSnapshot(qs *QueryStats, fn func(Core) bool, g *tgraph.Graph, w tgraph.Window, vids []tgraph.VID, eids []tgraph.EID) {
+// core emits nothing, and a nil fn only counts. g is the graph state the
+// ids refer to — the live epoch for (k, h)-cores, the pinned epoch for
+// historical indexes.
+func emitSnapshot(qs *QueryStats, proj Projection, fn func(Core) bool, g *tgraph.Graph, w tgraph.Window, vids []tgraph.VID, eids []tgraph.EID) {
 	rs, re := g.RawWindow(w)
 	c := Core{Start: rs, End: re}
-	if r.proj == ProjectVertices {
+	if proj == ProjectVertices {
 		if len(vids) == 0 {
 			return
 		}
@@ -523,7 +508,7 @@ func (r *Request) emitSnapshot(qs *QueryStats, fn func(Core) bool, g *tgraph.Gra
 			return
 		}
 		qs.Edges = int64(len(eids))
-		if r.proj == ProjectEdges {
+		if proj == ProjectEdges {
 			edges := make([]Edge, len(eids))
 			for i, e := range eids {
 				te := g.Edge(e)
@@ -533,5 +518,7 @@ func (r *Request) emitSnapshot(qs *QueryStats, fn func(Core) bool, g *tgraph.Gra
 		}
 	}
 	qs.Cores = 1
-	fn(c)
+	if fn != nil {
+		fn(c)
+	}
 }

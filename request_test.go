@@ -217,6 +217,22 @@ func TestRequestEngines(t *testing.T) {
 	}
 	coresEqual(t, "watcher", got, want)
 
+	// Sharded view over the same history: three spans, one executor.
+	sg, err := tkc.ShardGraph(g, tkc.ShardOptions{Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sg.Close()
+	var st tkc.QueryStats
+	got, err = sg.Latest().Query(2).Stats(&st).Collect(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coresEqual(t, "sharded", got, want)
+	if st.Shards != 3 {
+		t.Fatalf("sharded request ran %d spans, want 3", st.Shards)
+	}
+
 	// Snapshot (k,h)-core vs KHCore.
 	wantMembers, err := g.KHCore(2, 2, lo, hi)
 	if err != nil {
@@ -251,6 +267,29 @@ func TestRequestEngines(t *testing.T) {
 	}
 	if ok && !reflect.DeepEqual(hc.Vertices, wantHist) {
 		t.Fatalf("historical vertices %v, want %v", hc.Vertices, wantHist)
+	}
+
+	// Count-only runs of both snapshot engines tally the one core the edge
+	// projection emits, whatever projection the request carries.
+	for name, q := range map[string]func() *tkc.Request{
+		"snapshot":   func() *tkc.Request { return g.Query(2).Window(lo, hi).Snapshot(2) },
+		"historical": func() *tkc.Request { return h.Query(3).Window(lo, hi) },
+	} {
+		c, ok, err := q().First(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qs, err := q().Project(tkc.ProjectVertices).Count(ctx)
+		if err != nil {
+			t.Fatalf("%s Count: %v", name, err)
+		}
+		want := int64(0)
+		if ok {
+			want = 1
+		}
+		if qs.Cores != want || qs.Edges != int64(len(c.Edges)) {
+			t.Fatalf("%s Count: %d cores / %d edges, First found %d / %d", name, qs.Cores, qs.Edges, want, len(c.Edges))
+		}
 	}
 }
 

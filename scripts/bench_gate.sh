@@ -18,16 +18,14 @@ baseline=.github/bench-baseline.json
 out=${BENCH_GATE_OUT:-bench-results.json}
 tol=${BENCH_GATE_TOLERANCE:-30}
 
-# The guarded benchmarks: zero-alloc warm CoreTime builds (PR 1),
-# amortised O(1) single-edge appends (PR 3), the lock-free concurrent read
-# path and lock-free append latency under analytical load (PR 4),
-# O(lookup) warm serving-cache hits (PR 5), incremental historical
-# index maintenance plus O(lookup) historical cache hits (PR 6), the
-# HTTP serving layer's warm point-query round-trip (PR 7), the
-# durability tier's warm restart plus the PHC partial-range patch fix
-# (PR 9), and the sharded scatter-gather serving path with its replica
-# pools (PR 10). Fixed iteration counts keep run-to-run variance inside
-# the tolerance.
+# The guarded benchmarks: zero-alloc warm CoreTime builds, amortised
+# O(1) single-edge appends, the lock-free concurrent read path and
+# lock-free append latency under analytical load, O(lookup) warm
+# serving-cache hits, incremental historical index maintenance plus
+# O(lookup) historical cache hits, the HTTP serving layer's warm
+# point-query round-trip, the durability tier's warm restart plus the PHC
+# partial-range patch fix, and the sharded scatter-gather serving path.
+# Fixed iteration counts keep run-to-run variance inside the tolerance.
 #
 # The enumerator's first-core cases guard its lazy window activation,
 # which keeps a point query O(edges in range + start times swept)
@@ -44,7 +42,6 @@ raw=$(
   go test -run=NONE -bench='BenchmarkOpenWarm$' -benchtime=3x -benchmem .
   go test -run=NONE -bench='BenchmarkPHCPartialRangePatch$' -benchtime=3x -benchmem .
   go test -run=NONE -bench='BenchmarkShardedScatterGather$' -benchtime=20x -benchmem .
-  go test -run=NONE -bench='BenchmarkReplicaReadScaling$' -benchtime=20x -benchmem .
   go test -run=NONE -bench='BenchmarkEnumerate$/-first$' -benchtime=10000x -benchmem ./internal/enum/
 )
 echo "$raw"
@@ -126,15 +123,9 @@ while read -r name bns bal; do
   # fsync-bound (the open rotates a WAL with a durability barrier), so
   # shared-runner disk latency dominates its few-ms ns/op; the cold
   # subtest is a compute-bound PHC rebuild and stays ns-gated.
-  # The sharded serving benches run spans on replica goroutine pools, so
-  # their wall time is scheduler-bound on shared 1-CPU runners; their
-  # structural property is the bounded per-query allocation budget, which
-  # stays gated. The unsharded ScatterGather subtests are single-threaded
-  # and stay ns-gated as the comparison floor.
   nscheck=1
   case "$name" in
   BenchmarkConcurrentServe/* | BenchmarkAppendUnderAnalytics/* | BenchmarkServeQueryWarm | BenchmarkOpenWarm/warm) nscheck=0 ;;
-  BenchmarkShardedScatterGather/sharded/* | BenchmarkReplicaReadScaling/*) nscheck=0 ;;
   esac
   if [[ $nscheck == 1 ]] && ! awk -v c="$cns" -v b="$bns" -v t="$tol" 'BEGIN { exit !(c <= b * (1 + t / 100)) }'; then
     echo "BENCH GATE FAIL: $name ns/op ${cns} is more than ${tol}% above the ${bns} baseline" >&2

@@ -21,22 +21,14 @@ type ShardOptions struct {
 	// holds at least this many edges (checked after each Append). 0 means
 	// sealing is manual (Seal).
 	MaxShardEdges int
-
-	// Replicas is the number of reader goroutines serving each shard's
-	// span tasks, each with its own private scratch. <= 0 means 2.
-	Replicas int
 }
 
-// DefaultShardReplicas is the per-shard replica count when
-// ShardOptions.Replicas is unset.
-const DefaultShardReplicas = 2
-
 // ShardedGraph partitions one temporal graph's time axis into contiguous
-// time-range shards behind the same Query API: window queries scatter to
-// exactly the shards whose range overlaps the request, run on per-shard
-// replica pools, and gather into one stream that is byte-identical to the
-// unsharded enumeration of the same window (see internal/shard for the
-// decomposition argument).
+// time-range shards behind the same Query API: a window query runs one
+// span per shard whose range overlaps the request, in shard order and in
+// the caller's goroutine, and the spans' streams concatenate to one that
+// is byte-identical to the unsharded enumeration of the same window (see
+// internal/shard for the decomposition argument).
 //
 // The append-only frontier keeps the partition trivially consistent: only
 // the newest shard accepts appends, and Seal freezes it at a cut one rank
@@ -53,17 +45,15 @@ const DefaultShardReplicas = 2
 type ShardedGraph struct {
 	opts ShardOptions
 
-	spine *Graph // the whole history; single-writer
-	rt    *shard.Runtime
-	view  atomic.Pointer[ShardedView]
+	spine    *Graph // the whole history; single-writer
+	counters shard.Counters
+	view     atomic.Pointer[ShardedView]
 
 	// Readers never touch dir directly — they use the published view.
 	// st is nil without durability.
 	mu  sync.Mutex       // writer lock: Append, Seal, Close
 	dir *shard.Directory // tkc:guardedby mu
 	st  *shardStore      // tkc:guardedby mu
-
-	closed atomic.Bool
 }
 
 // ShardedView is one published epoch of a sharded graph paired with the
@@ -96,9 +86,6 @@ func NewSharded(edges []Edge, o ShardOptions) (*ShardedGraph, error) {
 // graph's spine: keep reading it if you like, but append only through the
 // ShardedGraph from now on.
 func ShardGraph(g *Graph, o ShardOptions) (*ShardedGraph, error) {
-	if o.Replicas <= 0 {
-		o.Replicas = DefaultShardReplicas
-	}
 	cuts := partitionCuts(g.g, o.Shards)
 	dir, err := shard.NewDirectory(cuts)
 	if err != nil {
@@ -107,7 +94,6 @@ func ShardGraph(g *Graph, o ShardOptions) (*ShardedGraph, error) {
 	sg := &ShardedGraph{
 		opts:  o,
 		spine: g,
-		rt:    shard.NewRuntime(o.Replicas),
 		dir:   dir,
 	}
 	sg.publishLocked()
@@ -265,13 +251,9 @@ func (sg *ShardedGraph) SetCacheOptions(o CacheOptions) { sg.spine.SetCacheOptio
 // CacheStats reports the shared serving cache; see Graph.CacheStats.
 func (sg *ShardedGraph) CacheStats() CacheStats { return sg.spine.CacheStats() }
 
-// Close shuts the replica pools down (and the store, when durable). Safe
-// to call twice. In-flight queries must drain first.
+// Close releases the durable store, if any; a sharded graph without one
+// holds nothing to release. Safe to call twice.
 func (sg *ShardedGraph) Close() error {
-	if sg.closed.Swap(true) {
-		return nil
-	}
-	sg.rt.Close()
 	sg.mu.Lock()
 	st := sg.st
 	sg.st = nil
@@ -282,8 +264,8 @@ func (sg *ShardedGraph) Close() error {
 	return nil
 }
 
-// ShardStats describes one shard of a published view, with its pool's
-// serving counters.
+// ShardStats describes one shard of a published view, with its serving
+// counters.
 type ShardStats struct {
 	ID     int
 	Sealed bool
@@ -294,10 +276,9 @@ type ShardStats struct {
 	Edges              int   // edges in the shard's range
 	Seq                int64 // seal-time mutation sequence; 0 for the frontier
 
-	Replicas  int
-	Tasks     int64 // span tasks this shard's pool has executed
-	CacheHits int64 // tasks served from resident (or shared) CoreTime tables
-	Patched   int64 // tasks that ran a boundary re-settle over the cut
+	Tasks     int64 // query spans this shard has served
+	CacheHits int64 // spans served from resident (or shared) CoreTime tables
+	Patched   int64 // spans that ran a boundary re-settle over the cut
 }
 
 // ShardStats reports the latest view's shards in time order.
@@ -309,7 +290,7 @@ func (sg *ShardedGraph) ShardStats() []ShardStats {
 	start := tgraph.TS(1)
 	for i := 0; i < v.dir.NumShards(); i++ {
 		end := tg.TMax()
-		s := ShardStats{ID: i, Replicas: sg.rt.Replicas()}
+		s := ShardStats{ID: i}
 		if i < len(cuts) {
 			end = cuts[i].End
 			s.Sealed = true
@@ -321,8 +302,8 @@ func (sg *ShardedGraph) ShardStats() []ShardStats {
 			s.StartTime = tg.RawTime(start)
 			s.EndTime = tg.RawTime(end)
 		}
-		ps := sg.rt.Stats(i)
-		s.Tasks, s.CacheHits, s.Patched = ps.Tasks, ps.CacheHits, ps.Patched
+		c := sg.counters.Get(i)
+		s.Tasks, s.CacheHits, s.Patched = c.Tasks, c.CacheHits, c.Patched
 		out = append(out, s)
 		start = end + 1
 	}

@@ -89,8 +89,8 @@ func BootstrapShardedDir(dir string, edges []Edge, o ShardOptions) (*ShardedGrap
 // OpenDir), the shard directory is rebuilt from the cut manifest and
 // validated against the recovered graph, and spilled serving-cache
 // entries are re-admitted. o.Shards is ignored — the partition is
-// whatever was sealed — while o.MaxShardEdges and o.Replicas configure
-// the reopened graph as usual.
+// whatever was sealed — while o.MaxShardEdges configures the reopened
+// graph as usual.
 func OpenShardedDir(dir string, o ShardOptions) (*ShardedGraph, error) {
 	st, err := store.Open(dir)
 	if err != nil {

@@ -31,7 +31,6 @@ func TestShardedRacingDifferential(t *testing.T) {
 	sg, err := tkc.ShardGraph(mustGraph(t, all[:cut]), tkc.ShardOptions{
 		Shards:        3,
 		MaxShardEdges: 20, // churn: nearly every writer batch seals a shard
-		Replicas:      2,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -45,7 +45,7 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 	}
 	lo, hi := g.TimeSpan()
 	for _, parts := range []int{1, 3, 5} {
-		sg, err := tkc.ShardGraph(g, tkc.ShardOptions{Shards: parts, Replicas: 2})
+		sg, err := tkc.ShardGraph(g, tkc.ShardOptions{Shards: parts})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +67,7 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 // a fresh rebuild — while still matching the oracle.
 func TestShardedBoundarySpanningCores(t *testing.T) {
 	edges := randomEdges(23, 12, 1200, 30) // dense: cores span wide windows
-	sg, err := tkc.NewSharded(edges, tkc.ShardOptions{Shards: 4, Replicas: 2})
+	sg, err := tkc.NewSharded(edges, tkc.ShardOptions{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestShardedAppendSealLifecycle(t *testing.T) {
 	sort.Slice(edges, func(i, j int) bool { return edges[i].Time < edges[j].Time })
 	base, rest := edges[:300], edges[300:]
 
-	sg, err := tkc.NewSharded(base, tkc.ShardOptions{MaxShardEdges: 250, Replicas: 2})
+	sg, err := tkc.NewSharded(base, tkc.ShardOptions{MaxShardEdges: 250})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestShardedBuilderGuards(t *testing.T) {
 }
 
 func TestShardedEarlyStopAndSeq(t *testing.T) {
-	sg, err := tkc.NewSharded(randomEdges(31, 14, 700, 30), tkc.ShardOptions{Shards: 3, Replicas: 2})
+	sg, err := tkc.NewSharded(randomEdges(31, 14, 700, 30), tkc.ShardOptions{Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,5 +244,62 @@ func TestShardedEarlyStopAndSeq(t *testing.T) {
 	}
 	if _, err := (tkc.QueryJSON{K: 2, Algorithm: "otcd"}).RequestFrom(v); err == nil {
 		t.Fatal("RequestFrom accepted an algorithm override on a sharded source")
+	}
+}
+
+// raceEnabled reports a -race build (see race_enabled_test.go).
+var raceEnabled bool
+
+// TestShardedCountAllocs guards the warm sharded count against per-result
+// costs of its own: on a trailing window (the frontier span alone) and on
+// a window across the newest cut (a sealed span plus the frontier), it
+// allocates no more than the unsharded count of the same window plus a
+// small constant, however many result edges the window holds.
+func TestShardedCountAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts of pooled paths are noise under -race")
+	}
+	const k, slack = 3, 4
+	g, err := tkc.NewGraph(randomEdges(17, 40, 6000, 400))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sg, err := tkc.ShardGraph(g, tkc.ShardOptions{Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sg.Close()
+	v := sg.Latest()
+	lo, hi := g.TimeSpan()
+	stats := sg.ShardStats()
+	tlo, thi, clo, chi := shardedBenchWindows(lo, hi, stats[len(stats)-2].EndTime)
+	ctx := context.Background()
+	for _, w := range []struct {
+		name       string
+		start, end int64
+	}{{"trailing", tlo, thi}, {"cross-cut", clo, chi}} {
+		count := func(src tkc.Querier) (tkc.QueryStats, float64) {
+			qs, err := src.Query(k).Window(w.start, w.end).Count(ctx) // warm the cache
+			if err != nil {
+				t.Fatal(err)
+			}
+			return qs, testing.AllocsPerRun(20, func() {
+				if _, err := src.Query(k).Window(w.start, w.end).Count(ctx); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		want, unsharded := count(g)
+		got, sharded := count(v)
+		if got.Cores != want.Cores || got.Edges != want.Edges {
+			t.Fatalf("%s: sharded count %d/%d, unsharded %d/%d", w.name, got.Cores, got.Edges, want.Cores, want.Edges)
+		}
+		if want.Edges < 10000 {
+			t.Fatalf("%s: |R| = %d is too small to show per-result costs", w.name, want.Edges)
+		}
+		if sharded > unsharded+slack {
+			t.Errorf("%s: warm sharded count allocates %.0f per query, unsharded %.0f (|R| = %d)",
+				w.name, sharded, unsharded, want.Edges)
+		}
 	}
 }

@@ -217,10 +217,11 @@ type QueryStats struct {
 	CacheShared bool
 
 	// Shards is the number of shard spans a sharded request scattered to;
-	// zero for unsharded requests. For sharded requests CacheHit reports
-	// that every span was served from resident (or shared) tables, and
-	// CoreTime/EnumTime sum the spans' phase costs (CPU, not wall time —
-	// spans run concurrently).
+	// zero for unsharded requests. The spans run one after another in the
+	// caller's goroutine, so for sharded requests CoreTime and EnumTime
+	// are wall times, summed over the spans that ran, as are
+	// VCTSize/ECSSize over their tables. CacheHit reports that every span
+	// that ran was served from resident (or shared) tables.
 	Shards int
 	// Patched counts the spans that extended a cached shard-local index
 	// across its cut with a boundary re-settle instead of rebuilding.
