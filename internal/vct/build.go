@@ -126,28 +126,13 @@ func newBuilder(g *tgraph.Graph, k int, w tgraph.Window, s *Scratch) builder {
 
 func (b *builder) run() {
 	g, w := b.g, b.w
+	b.project()
 
-	// Position every pair pointer at the first interaction >= w.Start, and
-	// every incidence pointer at the first incident edge inside the window.
-	// Both arrays are time sorted, so a binary search replaces the full
-	// linear scan; incident edge ids ascend with time, so the incidence
-	// search compares ids against b.lo directly.
-	for p := 0; p < g.NumPairs(); p++ {
-		b.pairPtr[p] = searchGE(g.PairTimes(int32(p)), w.Start)
-	}
-	for u := 0; u < g.NumVertices(); u++ {
-		b.incPtr[u] = searchGE(g.Incident(tgraph.VID(u)), b.lo)
-	}
-
-	// Lower-bound initialisation: k-th smallest usable first time.
+	// Lower-bound initialisation (k-th smallest first time), then the fixed
+	// point for the first start time.
 	for u := 0; u < g.NumVertices(); u++ {
 		b.ct[u] = b.lowerBound(tgraph.VID(u))
-	}
-	// Fixed point for the first start time.
-	for u := 0; u < g.NumVertices(); u++ {
-		if b.ct[u] != inf {
-			b.push(tgraph.VID(u))
-		}
+		b.push(tgraph.VID(u))
 	}
 	b.settle(false)
 	if b.stopped {
@@ -199,8 +184,9 @@ func (b *builder) transition(s tgraph.TS) {
 
 // expire handles the edges timestamped s leaving the window: it flushes
 // their final skyline window ([s, ect] with last valid start s = t_e) and
-// advances the pair pointers, seeding the worklist with the affected
-// endpoints.
+// advances their pairs' first times, which reach ∞ once a pair has no
+// interaction left in [s+1, w.End]. An endpoint is queued only when the
+// other endpoint's contribution to it crosses its core time (see wake).
 func (b *builder) expire(s tgraph.TS) {
 	g := b.g
 	elo, ehi := g.EdgesAt(s)
@@ -208,18 +194,23 @@ func (b *builder) expire(s tgraph.TS) {
 		if v := b.ect[e-b.lo]; v != inf {
 			b.ecsRecs = append(b.ecsRecs, ecsRec{e: e, win: tgraph.Window{Start: s, End: v}})
 		}
-	}
-	for e := elo; e < ehi; e++ {
-		p := g.EdgePair(e)
-		pr := g.Pair(p)
-		times := g.PairTimes(p)
-		j := b.pairPtr[p]
-		for int(j) < len(times) && times[j] <= s {
-			j++
+		i := b.pairSlot[g.EdgePair(e)]
+		fOld := b.ft[i]
+		if fOld != s {
+			continue // a duplicate edge at s already advanced the pair
 		}
-		b.pairPtr[p] = j
-		b.push(pr.U)
-		b.push(pr.V)
+		wp := &b.wpairs[i]
+		times := g.PairTimes(wp.p)
+		wp.ptr++
+		fNew := inf
+		if int(wp.ptr) < len(times) && times[wp.ptr] <= b.w.End {
+			fNew = times[wp.ptr]
+		}
+		b.ft[i] = fNew
+		te := g.Edge(e)
+		cu, cv := b.ct[te.U], b.ct[te.V]
+		b.wake(te.U, max(cv, fOld), max(cv, fNew))
+		b.wake(te.V, max(cu, fOld), max(cu, fNew))
 	}
 }
 
@@ -282,16 +273,31 @@ func (b *builder) settle(track bool) {
 		if nv <= b.ct[u] {
 			continue
 		}
-		b.ct[u] = nv
-		if track && !b.chMark[u] {
-			b.chMark[u] = true
-			b.changed = append(b.changed, u)
+		if track {
+			b.markChanged(u)
 		}
-		for _, nb := range b.g.Neighbours(u) {
-			if b.ct[nb.V] != inf {
-				b.push(nb.V)
-			}
-		}
+		b.raise(u, nv)
+	}
+}
+
+// raise lifts ct[u] to nv and wakes each window neighbour whose
+// contribution from u, max(ct[u], firstTime), crosses its core time.
+func (b *builder) raise(u tgraph.VID, nv tgraph.TS) {
+	old := b.ct[u]
+	b.ct[u] = nv
+	for _, nb := range b.nbrs[b.nbrOff[u]:b.nbrEnd[u]] {
+		ft := b.ft[nb.pair]
+		b.wake(nb.v, max(old, ft), max(nv, ft))
+	}
+}
+
+// wake queues u when one contribution to its F(CT) rises from `from` to
+// `to` across ct[u]. No other move can unsettle u: a contribution above
+// ct[u] is not among the k smallest, and moving one that stays <= ct[u]
+// cannot lift the k-th smallest above ct[u].
+func (b *builder) wake(u tgraph.VID, from, to tgraph.TS) {
+	if c := b.ct[u]; from <= c && c < to {
+		b.push(u)
 	}
 }
 
@@ -306,6 +312,13 @@ func (b *builder) push(u tgraph.VID) {
 	}
 	b.inQ[u] = true
 	b.q.Push(int32(u))
+}
+
+func (b *builder) markChanged(u tgraph.VID) {
+	if !b.chMark[u] {
+		b.chMark[u] = true
+		b.changed = append(b.changed, u)
+	}
 }
 
 // insertKth pushes v into the ascending k-slot selection buffer, keeping
@@ -332,28 +345,37 @@ func (b *builder) insertKth(v tgraph.TS) {
 }
 
 // eval computes F(CT)(u): the k-th smallest max(CT(v), firstTime(u,v)) over
-// usable neighbours.
+// u's window neighbours. Core times only rise and first times only
+// advance, so a neighbour with CT = ∞ or an exhausted pair stays unusable
+// for the rest of the sweep: eval swap-removes it from u's list.
 func (b *builder) eval(u tgraph.VID) tgraph.TS {
 	b.buf = b.buf[:0]
-	for _, nb := range b.g.Neighbours(u) {
-		cv := b.ct[nb.V]
-		if cv == inf {
+	nbrs := b.nbrs[b.nbrOff[u]:b.nbrEnd[u]]
+	for i := 0; i < len(nbrs); {
+		nb := nbrs[i]
+		cv, ft := b.ct[nb.v], b.ft[nb.pair]
+		if cv == inf || ft == inf {
+			last := len(nbrs) - 1
+			nbrs[i] = nbrs[last]
+			nbrs = nbrs[:last]
 			continue
 		}
-		p := nb.Pair
-		pr := b.g.Pair(p)
-		j := b.pairPtr[p]
-		if j >= pr.Len {
-			continue
-		}
-		ft := b.g.PairTimes(p)[j]
-		if ft > b.w.End {
-			continue
-		}
-		if ft > cv {
-			cv = ft
-		}
-		b.insertKth(cv)
+		b.insertKth(max(cv, ft))
+		i++
+	}
+	b.nbrEnd[u] = b.nbrOff[u] + int32(len(nbrs))
+	if len(b.buf) < b.k {
+		return inf
+	}
+	return b.buf[b.k-1]
+}
+
+// lowerBound is the k-th smallest first time of u's window pairs, a valid
+// lower bound on the core time.
+func (b *builder) lowerBound(u tgraph.VID) tgraph.TS {
+	b.buf = b.buf[:0]
+	for _, nb := range b.nbrs[b.nbrOff[u]:b.nbrEnd[u]] {
+		b.insertKth(b.ft[nb.pair])
 	}
 	if len(b.buf) < b.k {
 		return inf
@@ -361,27 +383,48 @@ func (b *builder) eval(u tgraph.VID) tgraph.TS {
 	return b.buf[b.k-1]
 }
 
-// lowerBound is the k-th smallest usable first time of u's pairs, a valid
-// lower bound on the core time.
-func (b *builder) lowerBound(u tgraph.VID) tgraph.TS {
-	b.buf = b.buf[:0]
-	for _, nb := range b.g.Neighbours(u) {
-		p := nb.Pair
-		pr := b.g.Pair(p)
-		j := b.pairPtr[p]
-		if j >= pr.Len {
+// project builds the window's own adjacency in one pass over its edges
+// [lo, hi). Each pair with an interaction in w gets a slot holding its
+// current first time (its first window edge, as edges are time sorted)
+// and that time's position in the pair's time list, and one entry in each
+// endpoint's window-local neighbour list. pairSlot is a sparse set (a slot
+// counts only if it points back at the pair), so it is never cleared and
+// stays valid across graphs. Incidence pointers are positioned for the
+// window's vertices only: no other vertex gets a finite core time, so
+// record never reaches one.
+func (b *builder) project() {
+	g := b.g
+	n := g.NumVertices()
+	off := ds.GrowZero(b.nbrOff, n+1)
+	for e := b.lo; e < b.hi; e++ {
+		p := g.EdgePair(e)
+		if i := b.pairSlot[p]; int(i) < len(b.wpairs) && b.wpairs[i].p == p {
 			continue
 		}
-		ft := b.g.PairTimes(p)[j]
-		if ft > b.w.End {
-			continue
+		te := g.Edge(e)
+		b.pairSlot[p] = int32(len(b.wpairs))
+		b.wpairs = append(b.wpairs, winPair{p: p, ptr: searchGE(g.PairTimes(p), te.T)})
+		b.ft = append(b.ft, te.T)
+		off[te.U+1]++
+		off[te.V+1]++
+	}
+	for u := 0; u < n; u++ {
+		if off[u+1] > 0 {
+			b.incPtr[u] = searchGE(g.Incident(tgraph.VID(u)), b.lo)
 		}
-		b.insertKth(ft)
+		off[u+1] += off[u]
 	}
-	if len(b.buf) < b.k {
-		return inf
+	end := ds.Grow(b.nbrEnd, n)
+	copy(end, off[:n])
+	nbrs := ds.Grow(b.nbrs, int(off[n]))
+	for i, wp := range b.wpairs {
+		pr := g.Pair(wp.p)
+		nbrs[end[pr.U]] = winNbr{v: pr.V, pair: int32(i)}
+		end[pr.U]++
+		nbrs[end[pr.V]] = winNbr{v: pr.U, pair: int32(i)}
+		end[pr.V]++
 	}
-	return b.buf[b.k-1]
+	b.nbrOff, b.nbrEnd, b.nbrs = off, end, nbrs
 }
 
 // index assembles the recorded labels into a freshly allocated Index.

@@ -29,12 +29,18 @@
 //     the least fixed point >= L, which by the two points above equals CT_ts.
 //
 // Raising ts from s to s+1 only changes firstTime for pairs interacting at
-// exactly s, so the worklist is reseeded with the endpoints of expiring
-// edges and changes propagate outward; core times are monotone in ts, so
-// values keep only rising across the whole run. This matches the paper's
-// O(|VCT| · deg_avg) bound up to transient intermediate raises during a
-// cascade (each pop costs one neighbourhood scan; pops that do not raise a
-// value stop the propagation immediately).
+// exactly s, and core times are monotone in ts, so values keep only rising
+// across the whole run. A vertex u can only become unsettled when one of
+// its contributions crosses CT(u): a contribution above CT(u) is not among
+// the k smallest, and one that moves but stays <= CT(u) cannot lift the
+// k-th smallest above it. So an expiring edge requeues an endpoint, and a
+// raise requeues a neighbour, only on such a crossing. Each pop scans u's
+// neighbours in the query window, not its whole history, and drops those
+// that can never contribute again (CT = ∞, or no interaction left in the
+// window). This matches the paper's O(|VCT| · deg_avg) bound, with deg the
+// degree in the window's projection, up to transient intermediate raises
+// during a cascade (pops that do not raise a value stop the propagation
+// immediately).
 //
 // # Edge skylines (Algorithm 2)
 //
@@ -47,16 +53,18 @@
 //
 // # Scratch-pool design
 //
-// The builder's entire working state — core-time and record vectors, pair
-// and incidence pointers, the worklist with its membership bits, the k-slot
+// The builder's entire working state — core-time and record vectors, the
+// window projection, the worklist with its membership bits, the k-slot
 // selection buffer and both record arenas — lives in a Scratch, a
 // size-adaptive bundle cycled through a sync.Pool. Build borrows a pooled
 // Scratch and copies its outputs; BuildScratch runs on a caller-owned
 // Scratch and returns Index/ECS views aliasing its arenas, making a warm
-// repeated build allocation-free. Per-query setup is O(|pairs| + |V|)
-// pointer writes, each found by binary search restricted to the query
-// window rather than a scan of the full time lists, and F(CT) evaluation
-// selects the k-th smallest contribution with a bounded insertion buffer
-// instead of sorting whole neighbourhoods. Workers that run queries
-// concurrently each hold their own Scratch (see core.QueryBatch).
+// repeated build allocation-free. Per-query set-up is one pass over the
+// window's edges that gives every pair interacting in the window its first
+// time and time-list position, and every vertex a window-local neighbour
+// list: O(edges in window + |V|), with a per-pair lookup that is a sparse
+// set and so is never cleared. F(CT) evaluation selects the k-th smallest
+// contribution with a bounded insertion buffer instead of sorting whole
+// neighbourhoods. Workers that run queries concurrently each hold their
+// own Scratch (see core.QueryBatch).
 package vct

@@ -10,10 +10,16 @@ import (
 
 // FuzzCoreTimes decodes the fuzz input as an edge list and checks the
 // fixed-point core times against from-scratch peeling for every vertex and
-// start time.
+// start time of the query window.
+//
+// kb's low two bits pick k; its upper six bits trim the graph's full
+// window (three bits off each end), so the builder's window projection
+// differs from the whole-history adjacency. The zero trim of the seeds is
+// the full window.
 func FuzzCoreTimes(f *testing.F) {
 	f.Add([]byte{1, 2, 1, 2, 3, 2, 1, 3, 3}, byte(2))
 	f.Add([]byte{0, 1, 5, 1, 2, 5, 0, 2, 5, 2, 3, 6}, byte(2))
+	f.Add([]byte{0, 1, 1, 1, 2, 2, 0, 2, 3, 0, 1, 4, 1, 2, 5, 0, 2, 6, 2, 3, 7, 0, 3, 8}, byte(1<<5|1<<2|1))
 
 	f.Fuzz(func(t *testing.T, data []byte, kb byte) {
 		if len(data) < 3 || len(data) > 60 {
@@ -33,8 +39,12 @@ func FuzzCoreTimes(f *testing.F) {
 		if err != nil {
 			return
 		}
-		k := int(kb%3) + 1
-		w := g.FullWindow()
+		k := int(kb&3) + 1
+		full := g.FullWindow()
+		w := tgraph.Window{Start: full.Start + tgraph.TS(kb>>2&7), End: full.End - tgraph.TS(kb>>5)}
+		if w.Start > w.End {
+			w = full
+		}
 		ix, _, err := vct.Build(g, k, w)
 		if err != nil {
 			t.Fatalf("Build: %v", err)

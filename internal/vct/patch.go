@@ -102,14 +102,7 @@ func (p *patcher) run() {
 	g, w := p.g, p.w
 	n := g.NumVertices()
 
-	// Position the pair and incidence pointers exactly like builder.run.
-	for pi := 0; pi < g.NumPairs(); pi++ {
-		p.pairPtr[pi] = searchGE(g.PairTimes(int32(pi)), w.Start)
-	}
-	for u := 0; u < n; u++ {
-		p.incPtr[u] = searchGE(g.Incident(tgraph.VID(u)), p.lo)
-	}
-
+	p.project()
 	p.frozen = ds.GrowZero(p.frozen, n)
 	p.entIdx = ds.Grow(p.entIdx, n)
 	p.buildBuckets()
@@ -271,11 +264,8 @@ func (p *patcher) enterOracle() {
 		}
 		if c < p.dirtyFrom {
 			if c > p.ct[u] {
-				p.ct[u] = c
 				p.markChanged(uu)
-				for _, nb := range g.Neighbours(uu) {
-					p.push(nb.V)
-				}
+				p.raise(uu, c)
 			}
 			p.frozen[u] = true
 			continue
@@ -283,11 +273,8 @@ func (p *patcher) enterOracle() {
 		// Dirty: the running ct (exact for the previous start) is already a
 		// valid lower bound; only a tightening to dirtyFrom needs pushes.
 		if p.dirtyFrom > p.ct[u] {
-			p.ct[u] = p.dirtyFrom
 			p.markChanged(uu)
-			for _, nb := range g.Neighbours(uu) {
-				p.push(nb.V)
-			}
+			p.raise(uu, p.dirtyFrom)
 			p.push(uu)
 		}
 	}
@@ -302,7 +289,6 @@ func (p *patcher) applyCache(target tgraph.TS) {
 		return // no oracle outside (cachedStart, cachedEnd]; run() and
 		// enterOracle own the boundaries
 	}
-	g := p.g
 	b := int(target - p.w.Start - 1)
 	for _, u := range p.bktU[p.bktOff[b]:p.bktOff[b+1]] {
 		p.entIdx[u]++ // the entry whose Start == target
@@ -313,11 +299,8 @@ func (p *patcher) applyCache(target tgraph.TS) {
 			// Still exact: adopt the raise and wake the neighbours whose
 			// fixed point may depend on it.
 			if c > p.ct[u] {
-				p.ct[u] = c
 				p.markChanged(u)
-				for _, nb := range g.Neighbours(u) {
-					p.push(nb.V)
-				}
+				p.raise(u, c)
 			}
 			continue
 		}
@@ -326,19 +309,9 @@ func (p *patcher) applyCache(target tgraph.TS) {
 		// valid lower bounds; settle computes the truth.
 		p.frozen[u] = false
 		if p.dirtyFrom > p.ct[u] {
-			p.ct[u] = p.dirtyFrom
 			p.markChanged(u)
-			for _, nb := range g.Neighbours(u) {
-				p.push(nb.V)
-			}
+			p.raise(u, p.dirtyFrom)
 		}
 		p.push(u)
-	}
-}
-
-func (p *patcher) markChanged(u tgraph.VID) {
-	if !p.chMark[u] {
-		p.chMark[u] = true
-		p.changed = append(p.changed, u)
 	}
 }

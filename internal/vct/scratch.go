@@ -8,21 +8,31 @@ import (
 )
 
 // Scratch holds every piece of working state the CoreTime builder needs —
-// the core-time and record vectors, the pair/incidence pointers, the
+// the core-time and record vectors, the window's own adjacency, the
 // worklist and its membership bits, and the output arenas — so repeated
-// Build calls on the same graph reuse one allocation high-water mark
-// instead of re-allocating ~10 O(|V|)/O(|pairs|) slices per query.
+// Build calls reuse one allocation high-water mark instead of
+// re-allocating ~10 O(|V|)/O(window) slices per query.
 //
 // A Scratch is size-adaptive: prepare grows every buffer to the needs of
 // the (graph, k, window) at hand and retains the capacity afterwards, so a
 // Scratch cycled through a sync.Pool converges to the largest query it has
-// served. The zero value is ready to use. A Scratch must not be used by two
-// builds concurrently; use one Scratch per worker (see core.QueryBatch).
+// served. No build trusts anything an earlier one left behind, so one
+// Scratch may serve builds over different graphs in turn. The zero value
+// is ready to use. A Scratch must not be used by two builds concurrently; use one
+// Scratch per worker (see core.QueryBatch).
 type Scratch struct {
 	ct      []tgraph.TS // current core time per vertex
 	lastRec []tgraph.TS // last value recorded into the index
-	pairPtr []int32     // per pair: first time index >= current start
-	incPtr  []int32     // per vertex: first incident edge with time >= current start
+	incPtr  []int32     // per window vertex: first incident edge with time >= current start
+
+	// The window projection (see builder.project): the pairs with an
+	// interaction in the window and each vertex's live neighbours there.
+	pairSlot []int32     // per graph pair: its index in wpairs (sparse set, never cleared)
+	wpairs   []winPair   // per window pair: graph pair and time-list position
+	ft       []tgraph.TS // per window pair: first time >= current start, ∞ past the window
+	nbrOff   []int32     // per vertex: start of its list in nbrs (len |V|+1)
+	nbrEnd   []int32     // per vertex: end of its live list; eval's pruning shrinks it
+	nbrs     []winNbr
 
 	ect []tgraph.TS // per edge (eid-lo): current edge core time
 
@@ -69,8 +79,13 @@ func (s *Scratch) prepare(g *tgraph.Graph, nEdges int) {
 	n := g.NumVertices()
 	s.ct = ds.Grow(s.ct, n)
 	s.lastRec = ds.Grow(s.lastRec, n)
-	s.pairPtr = ds.Grow(s.pairPtr, g.NumPairs())
 	s.incPtr = ds.Grow(s.incPtr, n)
+	s.pairSlot = ds.Grow(s.pairSlot, g.NumPairs())
+	// A window has at most min(edges, pairs) pairs, so project's appends
+	// never reallocate.
+	np := min(nEdges, g.NumPairs())
+	s.wpairs = ds.Grow(s.wpairs, np)[:0]
+	s.ft = ds.Grow(s.ft, np)[:0]
 	s.ect = ds.Grow(s.ect, nEdges)
 	s.inQ = ds.GrowZero(s.inQ, n)
 	s.chMark = ds.GrowZero(s.chMark, n)
@@ -80,4 +95,16 @@ func (s *Scratch) prepare(g *tgraph.Graph, nEdges int) {
 	s.changed = s.changed[:0]
 	s.vctRecs = s.vctRecs[:0]
 	s.ecsRecs = s.ecsRecs[:0]
+}
+
+// winPair is one pair with an interaction in the query window.
+type winPair struct {
+	p   int32 // graph pair index
+	ptr int32 // position of the pair's current first time in g.PairTimes(p)
+}
+
+// winNbr is one entry of a vertex's window-local neighbour list.
+type winNbr struct {
+	v    tgraph.VID
+	pair int32 // index into the window's pairs
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"temporalkcore/internal/bench"
 	"temporalkcore/internal/paperex"
 	"temporalkcore/internal/tgraph"
 	"temporalkcore/internal/vct"
@@ -48,15 +49,21 @@ func sameECS(t *testing.T, a, b *vct.ECS) {
 }
 
 // TestBuildScratchMatchesBuild drives one Scratch through many different
-// (k, window) builds — shrinking, growing, shifting — and checks each
-// result against a fresh Build. This is the reuse contract: stale state
-// from an earlier, larger query must never leak into a later one.
+// (graph, k, window) builds — shrinking, growing, shifting, and alternating
+// between two graphs with different pair counts, as the shared scratch pool
+// does — and checks each result against a fresh Build. This is the reuse
+// contract: stale state from an earlier, larger query or another graph must
+// never leak into a later one.
 func TestBuildScratchMatchesBuild(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
-	g := paperex.Graph()
+	graphs := []*tgraph.Graph{paperex.Graph(), randomGraph(r, 30, 150, 12)}
+	if graphs[0].NumPairs() == graphs[1].NumPairs() {
+		t.Fatal("the two graphs must differ in pair count")
+	}
 	s := &vct.Scratch{}
-	tmax := int(g.TMax())
 	for trial := 0; trial < 200; trial++ {
+		g := graphs[trial%len(graphs)]
+		tmax := int(g.TMax())
 		k := 1 + r.Intn(4)
 		a := 1 + r.Intn(tmax)
 		b := 1 + r.Intn(tmax)
@@ -119,22 +126,42 @@ func TestBuildScratchInvalid(t *testing.T) {
 }
 
 // BenchmarkBuildScratchReuse is the zero-alloc contract of the engine: a
-// warm Scratch must make repeated CoreTime builds allocation-free.
+// warm Scratch must make repeated CoreTime builds allocation-free. The
+// full-window cases stress the fixed point; CM-fig6 is one query at the
+// shape of the paper's Figure 6 (the paper-scale CM replica, k = 30% kmax,
+// a range of 10% of tmax), where the window's projection is a small part
+// of the graph.
 func BenchmarkBuildScratchReuse(b *testing.B) {
 	for _, code := range []string{"CM", "PL"} {
 		b.Run(code, func(b *testing.B) {
 			g, k := benchGraph(b, code, 5000)
-			s := &vct.Scratch{}
-			if _, _, err := vct.BuildScratch(g, k, g.FullWindow(), s); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := vct.BuildScratch(g, k, g.FullWindow(), s); err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchScratchReuse(b, g, k, g.FullWindow())
 		})
+	}
+	b.Run("CM-fig6", func(b *testing.B) {
+		d, err := bench.LoadDataset("CM", 59835, 42)
+		if err != nil {
+			b.Fatal(err)
+		}
+		k := d.K(30)
+		ws := d.Queries(k, 10, 1, 1)
+		if len(ws) == 0 {
+			b.Fatal("no 10% window holds a k-core")
+		}
+		benchScratchReuse(b, d.G, k, ws[0])
+	})
+}
+
+func benchScratchReuse(b *testing.B, g *tgraph.Graph, k int, w tgraph.Window) {
+	s := &vct.Scratch{}
+	if _, _, err := vct.BuildScratch(g, k, w, s); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := vct.BuildScratch(g, k, w, s); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
