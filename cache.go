@@ -107,8 +107,9 @@ func (g *Graph) cache() *qcache.Cache { return g.hub.cache.Load() }
 // on this graph state. Only the optimal Enum's CoreTime phase is memoised:
 // OTCD has none, and EnumBase exists to be measured against Enum, which
 // serving it from Enum's entries would defeat. The discriminator is
-// qcache's canonical constant, shared with the dyn refresh and shard span
-// paths, so keys stay stable if Algorithm values are ever reordered.
+// qcache's canonical constant, shared with the dyn refresh path, so keys
+// stay stable if Algorithm values are ever reordered. One-shot, prepared
+// and sharded requests all key their tables here.
 func (g *Graph) cacheKey(k int, w tgraph.Window) qcache.Key {
 	return qcache.Key{Seq: g.g.MutSeq(), K: k, W: w, Algo: qcache.AlgoEnum}
 }

@@ -44,8 +44,8 @@ func coreFingerprint(g *tkc.Graph, k int) (string, error) {
 
 // fingerprintFrom is coreFingerprint with the execution source decoupled
 // from the graph whose state it describes, so the sharded differential can
-// fingerprint a ShardedView's scatter-gather results in exactly the format
-// an unsharded rebuild produces.
+// fingerprint a ShardedView's results in exactly the format an unsharded
+// rebuild produces.
 func fingerprintFrom(g *tkc.Graph, src tkc.Querier, k int) (string, error) {
 	ctx := context.Background()
 	lo, hi := g.TimeSpan()

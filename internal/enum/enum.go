@@ -84,37 +84,16 @@ const stopStride = 64
 // done is false when the sink stopped the enumeration early or stop fired;
 // cancelled reports which of the two it was.
 //
-// tkc:cancellable
-func EnumerateStop(g *tgraph.Graph, ecs *vct.ECS, sink Sink, s *Scratch, stop func() bool) (done, cancelled bool) {
-	return EnumerateRangeStop(g, ecs, sink, s, ecs.Range.End, stop)
-}
-
-// EnumerateRangeStop is EnumerateStop bounded to cores whose tightest start
-// is at most lastStart: the outer sweep ends after lastStart instead of the
-// skyline range end, so a caller that only wants a prefix of the start axis
-// — a time-range shard emitting its slice of a scatter-gather query — never
-// advances past it. Cores are emitted in the same canonical order
-// Enumerate uses; lastStart at or beyond ecs.Range.End is the full
-// enumeration.
-//
 // The set-up is O(m + tlen) for the m edges in the skyline's edge range:
 // only each edge's first window is placed before the sweep, and a later
 // window is read when the sweep reaches its activation time. A sink that
-// stops after the first cores, or a bounded lastStart, therefore pays for
-// the start times swept and the windows activated so far, not for the
-// whole skyline.
+// stops after the first cores therefore pays for the start times swept
+// and the windows activated so far, not for the whole skyline.
 //
 // tkc:cancellable
-func EnumerateRangeStop(g *tgraph.Graph, ecs *vct.ECS, sink Sink, s *Scratch, lastStart tgraph.TS, stop func() bool) (done, cancelled bool) {
+func EnumerateStop(g *tgraph.Graph, ecs *vct.ECS, sink Sink, s *Scratch, stop func() bool) (done, cancelled bool) {
 	w := ecs.Range
 	tlen := int(w.End-w.Start) + 1
-	sweep := tlen
-	if lastStart < w.End {
-		if lastStart < w.Start {
-			return true, false
-		}
-		sweep = int(lastStart-w.Start) + 1
-	}
 	lo, hi := ecs.EdgeRange()
 	m := int(hi - lo)
 	off, wins := ecs.Flat()
@@ -157,7 +136,7 @@ func EnumerateRangeStop(g *tgraph.Graph, ecs *vct.ECS, sink Sink, s *Scratch, la
 	defer func() { s.slots, s.cal, s.cnt, s.batch, s.tmp, s.edgeBuf = slots, cal, cnt, batch, tmp, edgeBuf }()
 
 	base := lo - 1 // slot i holds edge base+i
-	for so := 0; so < sweep; so++ {
+	for so := 0; so < tlen; so++ {
 		if stop != nil && so&(stopStride-1) == 0 && stop() {
 			return false, true
 		}
@@ -193,9 +172,7 @@ func EnumerateRangeStop(g *tgraph.Graph, ecs *vct.ECS, sink Sink, s *Scratch, la
 		// 17-22); the batch ascends by (end, eid), so h never moves
 		// backwards. Breaking end ties by eid keeps the whole list in
 		// canonical (end, eid) order: the emitted edge order then depends
-		// only on the skyline content, not on activation history, which is
-		// what lets a restricted-range enumeration (a shard's slice of a
-		// scatter-gather query) byte-match the full-window one.
+		// only on the skyline content, not on activation history.
 		h := int32(0)
 		for _, k := range batch {
 			sl := int32(k & (1<<sb - 1))

@@ -2,7 +2,6 @@ package enum_test
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"temporalkcore/internal/enum"
@@ -21,47 +20,6 @@ func (s *rawSink) Emit(tti tgraph.Window, eids []tgraph.EID) bool {
 	copy(cp, eids)
 	s.cores = append(s.cores, enum.Core{TTI: tti, Edges: cp})
 	return true
-}
-
-// TestEnumerateRangeStopPrefix locks the scatter-gather contract: bounding
-// the sweep at lastStart emits exactly the full enumeration's prefix of
-// cores with tightest start <= lastStart, in identical order with identical
-// edge order.
-func TestEnumerateRangeStopPrefix(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	for trial := 0; trial < 20; trial++ {
-		g := randomGraph(rng, 14, 120, 12)
-		k := 2 + trial%2
-		w := tgraph.Window{Start: 1, End: g.TMax()}
-		_, ecs, err := vct.Build(g, k, w)
-		if err != nil {
-			t.Fatalf("vct.Build: %v", err)
-		}
-		var full rawSink
-		if done, _ := enum.EnumerateStop(g, ecs, &full, enum.GetScratch(), nil); !done {
-			t.Fatal("full enumeration stopped early")
-		}
-		for _, last := range []tgraph.TS{w.Start - 1, w.Start, (w.Start + w.End) / 2, w.End, w.End + 5} {
-			var got rawSink
-			if done, _ := enum.EnumerateRangeStop(g, ecs, &got, enum.GetScratch(), last, nil); !done {
-				t.Fatal("range enumeration stopped early")
-			}
-			var want []enum.Core
-			for _, c := range full.cores {
-				if c.TTI.Start <= last {
-					want = append(want, c)
-				}
-			}
-			if len(got.cores) != len(want) {
-				t.Fatalf("lastStart=%d: got %d cores, want %d", last, len(got.cores), len(want))
-			}
-			for i := range want {
-				if !reflect.DeepEqual(got.cores[i], want[i]) {
-					t.Fatalf("lastStart=%d core %d: got %+v want %+v", last, i, got.cores[i], want[i])
-				}
-			}
-		}
-	}
 }
 
 // TestEnumerateCanonicalOrder locks the (end, eid) list order: a core's

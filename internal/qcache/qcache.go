@@ -56,14 +56,6 @@ type Key struct {
 	K    int
 	W    tgraph.Window
 	Algo uint8
-
-	// Shard is the 1-based shard id of a sealed time-range shard's local
-	// CoreTime table, or 0 for ordinary whole-graph entries. Sealed shards
-	// are immutable, so their tables stay correct across every later epoch:
-	// a non-zero Shard exempts the entry from RetireBelow (its Seq is the
-	// seal-time sequence, which epoch retirement would otherwise sweep
-	// away) and leaves the LRU byte bound as its only eviction path.
-	Shard uint32
 }
 
 // Entry is one cached compiled result: immutable, self-owned tables (never
@@ -320,9 +312,7 @@ func isCancel(err error) bool {
 // long-held snapshot that queries a retired epoch rebuilds on miss and
 // re-inserts — an insert below the floor implies an active querier, and
 // the next retirement simply drops it again. The floor is monotone: calls
-// with a lower seq are no-ops. Sealed-shard entries (Key.Shard != 0) are
-// exempt: their tables are pinned to an immutable shard, not to a drained
-// epoch, so only the LRU byte bound evicts them.
+// with a lower seq are no-ops.
 func (c *Cache) RetireBelow(seq int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -333,14 +323,14 @@ func (c *Cache) RetireBelow(seq int64) {
 	for el := c.ll.Front(); el != nil; {
 		next := el.Next()
 		n := el.Value.(*node)
-		if n.key.Seq < seq && n.key.Shard == 0 {
+		if n.key.Seq < seq {
 			c.remove(el)
 			c.stats.Retired++
 		}
 		el = next
 	}
 	for k := range c.oversize {
-		if k.Seq < seq && k.Shard == 0 {
+		if k.Seq < seq {
 			delete(c.oversize, k)
 		}
 	}

@@ -281,28 +281,6 @@ func TestRetireBelow(t *testing.T) {
 	}
 }
 
-// TestRetireBelowSparesShardEntries locks the sealed-shard exemption: a
-// Key with Shard != 0 pins an immutable time-range shard, not an epoch, so
-// epoch retirement must leave it resident (only LRU pressure evicts it).
-func TestRetireBelowSparesShardEntries(t *testing.T) {
-	c := New(1 << 20)
-	plain := key(1, 1)
-	shardK := key(1, 1)
-	shardK.Shard = 1
-	c.Add(plain, entry(64))
-	c.Add(shardK, entry(64))
-	c.RetireBelow(10)
-	if _, ok := c.Probe(plain); ok {
-		t.Fatal("plain entry below the floor survived retirement")
-	}
-	if _, ok := c.Probe(shardK); !ok {
-		t.Fatal("sealed-shard entry was swept by epoch retirement")
-	}
-	if st := c.Stats(); st.Retired != 1 {
-		t.Fatalf("retired = %d, want 1", st.Retired)
-	}
-}
-
 func TestConcurrentMixedUse(t *testing.T) {
 	c := New(8 << 10)
 	var wg sync.WaitGroup

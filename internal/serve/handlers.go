@@ -177,8 +177,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	// The stats trailer: one deterministic NDJSON line after the core
 	// stream (timings live in /metrics, not here, so golden tests can
-	// byte-lock the full body). Sharded requests add the shard-span count,
-	// which is a deterministic property of the pinned view.
+	// byte-lock the full body). Sharded requests add the number of shards
+	// the window overlaps, a deterministic property of the pinned view.
 	if qs.Shards > 0 {
 		fmt.Fprintf(w, "{\"stats\":{\"cores\":%d,\"resultEdges\":%d,\"epoch\":%d,\"cacheHit\":%v,\"shards\":%d}}\n",
 			qs.Cores, qs.Edges, seq, qs.CacheHit, qs.Shards)
@@ -426,15 +426,12 @@ type statsResponse struct {
 }
 
 type shardJSON struct {
-	ID        int   `json:"id"`
-	Sealed    bool  `json:"sealed"`
-	Start     int64 `json:"start"`
-	End       int64 `json:"end"`
-	Edges     int   `json:"edges"`
-	Seq       int64 `json:"seq"`
-	Tasks     int64 `json:"tasks"`
-	CacheHits int64 `json:"cacheHits"`
-	Patched   int64 `json:"patched"`
+	ID     int   `json:"id"`
+	Sealed bool  `json:"sealed"`
+	Start  int64 `json:"start"`
+	End    int64 `json:"end"`
+	Edges  int   `json:"edges"`
+	Seq    int64 `json:"seq"`
 }
 
 type endpointJSON struct {
@@ -469,7 +466,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			resp.Shards = append(resp.Shards, shardJSON{
 				ID: ss.ID, Sealed: ss.Sealed, Start: ss.StartTime, End: ss.EndTime,
 				Edges: ss.Edges, Seq: ss.Seq,
-				Tasks: ss.Tasks, CacheHits: ss.CacheHits, Patched: ss.Patched,
 			})
 		}
 	}
@@ -538,9 +534,6 @@ func writeShardMetrics(b *strings.Builder, stats []tkc.ShardStats) {
 			return 0
 		}},
 		{"tkc_shard_edges", func(s tkc.ShardStats) float64 { return float64(s.Edges) }},
-		{"tkc_shard_tasks_total", func(s tkc.ShardStats) float64 { return float64(s.Tasks) }},
-		{"tkc_shard_cache_hits_total", func(s tkc.ShardStats) float64 { return float64(s.CacheHits) }},
-		{"tkc_shard_patched_total", func(s tkc.ShardStats) float64 { return float64(s.Patched) }},
 	}
 	for _, f := range families {
 		fmt.Fprintf(b, "# TYPE %s gauge\n", f.name)

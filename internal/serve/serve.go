@@ -59,12 +59,14 @@ type Config struct {
 	Durable *tkc.DurableGraph
 
 	// Sharded, when non-nil, serves a time-range sharded graph: queries
-	// run one span per overlapping shard in the handler's goroutine,
-	// appends route through the frontier shard (auto-sealing per its
-	// ShardOptions), epoch pinning addresses published ShardedViews, and
-	// /v1/stats + /metrics carry per-shard serving counters. Takes
-	// precedence over Durable and Graph; pair it with a sharded data
-	// directory (BootstrapShardedDir/OpenShardedDir) for durability.
+	// run on the pinned view's epoch as unsharded ones do and report how
+	// many shards their window overlaps, appends route through the
+	// frontier shard (auto-sealing per its ShardOptions), epoch pinning
+	// addresses published ShardedViews, /v1/stats lists each shard's
+	// bounds, edges and seal sequence, and /metrics its edges and seal
+	// state. Takes precedence over Durable and Graph; pair it with a
+	// sharded data directory (BootstrapShardedDir/OpenShardedDir) for
+	// durability.
 	Sharded *tkc.ShardedGraph
 
 	// Cache, when non-nil, reconfigures the graph's serving cache (it is

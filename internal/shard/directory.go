@@ -1,8 +1,10 @@
-// Package shard partitions the temporal graph's time axis into contiguous
-// time-range shards, routes a window query to the spans of the shards it
-// overlaps, and resolves each span's CoreTime tables (Resolve). The caller
-// enumerates the spans one after another in its own goroutine; the
-// package starts none.
+// Package shard keeps the time-range partition of a sharded temporal
+// graph: the ordered sealed cuts of its timeline, with the open frontier
+// shard above the last one. It is a storage concern only. Queries run on
+// the whole graph's epoch through the unsharded executor; the directory
+// tells the storage layer which ranges are sealed (their segment images
+// are written once) and tells a query how many shards its window
+// overlaps.
 //
 // The append-only frontier makes the partition trivial to maintain: edges
 // only ever arrive at (or after) the newest timestamp, so every shard but
@@ -10,18 +12,6 @@
 // frontier's range at a cut one rank below the current maximum timestamp
 // (Append may still add edges AT the maximum, so the cut rank itself can
 // never change once sealed) and opens a new frontier above it.
-//
-// Queries decompose exactly along the start axis: the enumeration emits
-// every distinct temporal k-core in ascending tightest-start order, and a
-// core whose tightest start falls in shard i's range is fully determined
-// by the edges in [start, queryEnd] — a suffix window the shard's span
-// computes on the shared spine graph. Each overlapping shard therefore
-// contributes the cores whose tightest start lands in its slice, boundary
-// cores (those whose window crosses the cut) included: the shard's cached
-// local CoreTime index vouches for in-shard core times, and a
-// vct.PatchScratch boundary re-settle extends exactly the vertices whose
-// core windows cross the cut. Enumerating the spans in shard order
-// reproduces the unsharded enumeration byte for byte.
 package shard
 
 import (
@@ -41,7 +31,7 @@ type Cut struct {
 	Seq    int64     // spine mutation sequence at seal time
 }
 
-// Directory is the immutable routing table of a sharded graph: the ordered
+// Directory is the immutable partition table of a sharded graph: the ordered
 // sealed cuts, with the open frontier shard implicitly covering everything
 // above the last cut. A Directory is never mutated — Seal returns a new
 // one — so readers may hold a directory while the writer seals.
@@ -92,72 +82,18 @@ func (d *Directory) start(i int) tgraph.TS {
 	return d.cuts[i-1].End + 1
 }
 
-// Span is one shard's slice of a scatter-gather query: the shard emits
-// exactly the cores whose tightest start falls in [Task.Start, LastStart],
-// computed over the suffix window Task on the spine graph.
-type Span struct {
-	Shard  int  // 0-based shard id (== NumSealed() for the frontier)
-	Sealed bool // false only for the frontier span
-
-	// Task is the shard's compute window: [max(query start, shard start),
-	// query end]. Core windows may extend past the shard's cut — that is
-	// the boundary-stitch case — so the task window always runs to the
-	// query end.
-	Task tgraph.Window
-
-	// LastStart bounds the emission: only cores with tightest start at
-	// most LastStart belong to this shard (min of the query end and the
-	// shard's cut rank).
-	LastStart tgraph.TS
-
-	// Local is the sealed shard's full local range [shard start, cut], the
-	// window its cached CoreTime index covers. Zero for the frontier.
-	Local tgraph.Window
-
-	// Seq is the sealed shard's seal-time mutation sequence (the Shard
-	// cache key namespace). Zero for the frontier.
-	Seq int64
-}
-
-// Spans routes a query window to the shards whose range overlaps it, in
-// ascending time order. Concatenating the spans' emissions in this order
-// yields the unsharded enumeration order: per-span output ascends by
-// tightest start, and the spans' start slices are disjoint, adjacent and
-// ascending.
-func (d *Directory) Spans(w tgraph.Window) []Span {
-	spans := make([]Span, 0, len(d.cuts)+1)
+// Overlaps returns how many shards' ranges overlap the window w: the
+// sealed shards whose [start, cut] range meets w, plus the frontier when w
+// reaches above the last cut.
+func (d *Directory) Overlaps(w tgraph.Window) int {
+	n := 0
 	for i, c := range d.cuts {
-		lo := d.start(i)
-		if c.End < w.Start || lo > w.End {
-			continue
+		if c.End >= w.Start && d.start(i) <= w.End {
+			n++
 		}
-		start := lo
-		if w.Start > start {
-			start = w.Start
-		}
-		last := c.End
-		if w.End < last {
-			last = w.End
-		}
-		spans = append(spans, Span{
-			Shard:     i,
-			Sealed:    true,
-			Task:      tgraph.Window{Start: start, End: w.End},
-			LastStart: last,
-			Local:     tgraph.Window{Start: lo, End: c.End},
-			Seq:       c.Seq,
-		})
 	}
-	if lo := d.start(len(d.cuts)); lo <= w.End {
-		start := lo
-		if w.Start > start {
-			start = w.Start
-		}
-		spans = append(spans, Span{
-			Shard:     len(d.cuts),
-			Task:      tgraph.Window{Start: start, End: w.End},
-			LastStart: w.End,
-		})
+	if d.start(len(d.cuts)) <= w.End {
+		n++
 	}
-	return spans
+	return n
 }

@@ -10,10 +10,10 @@ import (
 // shardedBenchWindows derives the two serving-shaped windows the sharded
 // benchmarks use on a graph with raw span [lo, hi]: the trailing tenth
 // (the fresh-data window every serving workload polls) and a window of the
-// same width centred on `cut` (a query that must stitch across a sealed
-// shard boundary). Full-span enumeration is deliberately not benchmarked:
-// its cost is the size of its own output (millions of cores on the CM
-// replica), which drowns the serving-path costs these benches guard.
+// same width centred on `cut` (a query across a sealed shard boundary).
+// Full-span enumeration is deliberately not benchmarked: its cost is the
+// size of its own output (millions of cores on the CM replica), which
+// drowns the serving-path costs these benches guard.
 func shardedBenchWindows(lo, hi, cut int64) (tlo, thi, clo, chi int64) {
 	w := (hi - lo) / 10
 	return hi - w, hi, cut - w/2, cut + w/2
@@ -21,14 +21,14 @@ func shardedBenchWindows(lo, hi, cut int64) (tlo, thi, clo, chi int64) {
 
 // BenchmarkShardedScatterGather measures the steady-state cost of warm
 // count queries against a time-range sharded CM replica, next to the
-// unsharded path on the same graph: a trailing-window query (served
-// entirely by the frontier shard) and a cut-crossing query (scattered to
-// two shards and stitched with a boundary re-settle over cached tables).
+// unsharded path on the same graph: a trailing-window query (inside the
+// frontier shard) and a cut-crossing query (overlapping two shards).
 //
-// The spans run one after another in the caller's goroutine, so every
-// subtest is single-threaded and the bench gate checks both ns/op and
-// allocs/op: the sharded subtests bound what scatter-gather adds to the
-// unsharded floor.
+// A sharded query runs on the unsharded executor over the view's epoch
+// and only counts the shards its window overlaps, so the sharded subtests
+// should match the unsharded ones. Every subtest is single-threaded and
+// the bench gate checks both ns/op and allocs/op: the sharded subtests
+// bound what the sharded view adds to the unsharded floor.
 func BenchmarkShardedScatterGather(b *testing.B) {
 	ctx := context.Background()
 	base, tail := cmStream(b)
@@ -42,8 +42,8 @@ func BenchmarkShardedScatterGather(b *testing.B) {
 
 	run := func(src tkc.Querier, ws, we int64) func(b *testing.B) {
 		return func(b *testing.B) {
-			// Warm pass: populate the shard-local (or unsharded) cache so
-			// the loop measures steady-state serving, not index builds.
+			// Warm pass: populate the serving cache so the loop measures
+			// steady-state serving, not index builds.
 			if _, err := src.Query(k).Window(ws, we).Count(ctx); err != nil {
 				b.Fatal(err)
 			}

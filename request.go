@@ -11,7 +11,6 @@ import (
 	"temporalkcore/internal/core"
 	"temporalkcore/internal/enum"
 	"temporalkcore/internal/qcache"
-	"temporalkcore/internal/shard"
 	"temporalkcore/internal/tgraph"
 	"temporalkcore/internal/vct"
 )
@@ -73,7 +72,7 @@ type Request struct {
 	hix   *HistoricalIndex
 	prep  *PreparedQuery
 	watch *Watcher
-	sview *ShardedView // non-nil: scatter-gather across the view's shards
+	sview *ShardedView // non-nil: a sharded request on the view's epoch
 
 	statsDst *QueryStats
 	err      error
@@ -385,37 +384,32 @@ func (s *projSink) project(tti tgraph.Window, eids []tgraph.EID) Core {
 }
 
 // enumerate is the one executor of every Enum request: one-shot, prepared,
-// watcher and sharded. For each span it takes the CoreTime skylines from
-// the request's source, then enumerates the span's slice of the start axis
-// into sink, all in the caller's goroutine. The source is the prepared
-// tables, the watcher's pinned view, or per span shard.Resolve: the
-// serving-cache entry of a window, or a sealed shard's cached local index
-// plus the boundary re-settle. An unsharded request is the one-span case.
-// A sharded one pins the view's epoch and directory and runs its spans in
-// shard order; cores partition by tightest start, so the span streams
-// concatenate to the unsharded stream of the same window, byte for byte.
+// watcher and sharded. It takes the CoreTime skylines from the request's
+// source (the prepared tables, the watcher's pinned view, or the window's
+// tables; see tables) and enumerates them into sink in the caller's
+// goroutine. A sharded request runs exactly as an unsharded one on the
+// view's pinned epoch; it only also reports how many of the view's shards
+// the window overlaps.
 func (r *Request) enumerate(ctx context.Context, qs *QueryStats, sink *projSink) error {
-	var fixed *vct.ECS // the prepared or watcher tables; nil: resolve per span
-	spans := []shard.Span{{LastStart: tgraph.InfTime}}
+	var w tgraph.Window
 	if r.prep == nil && r.watch == nil {
-		w, err := r.g.window(r.start, r.end)
-		if err != nil {
+		var err error
+		if w, err = r.g.window(r.start, r.end); err != nil {
 			return err
 		}
-		spans[0].Task = w
 		if r.sview != nil {
-			spans = r.sview.dir.Spans(w)
-			qs.Shards = len(spans)
+			qs.Shards = r.sview.dir.Overlaps(w)
 		}
 	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	stop := core.StopFromCtx(ctx)
+	var ix *vct.Index
+	var ecs *vct.ECS
 	switch {
 	case r.prep != nil:
-		fixed = r.prep.ecs
-		qs.VCTSize, qs.ECSSize = r.prep.ix.Size(), fixed.Size()
+		ix, ecs = r.prep.ix, r.prep.ecs
 	case r.watch != nil:
 		// A stale view is repaired (incrementally patched) first.
 		v, release, err := r.watch.acquireView(stop)
@@ -423,49 +417,55 @@ func (r *Request) enumerate(ctx context.Context, qs *QueryStats, sink *projSink)
 			return core.StopErr(ctx, err)
 		}
 		defer release()
-		fixed, sink.g = v.Ecs, v.G
-		qs.VCTSize, qs.ECSSize = v.Ix.Size(), fixed.Size()
+		ix, ecs, sink.g = v.Ix, v.Ecs, v.G
+	default:
+		vs := vct.GetScratch()
+		defer vct.PutScratch(vs)
+		var err error
+		if ix, ecs, err = r.tables(ctx, qs, w, vs, stop); err != nil {
+			return err
+		}
 	}
+	qs.VCTSize, qs.ECSSize = ix.Size(), ecs.Size()
 
-	vs := vct.GetScratch()
-	defer vct.PutScratch(vs)
 	es := enum.GetScratch()
 	defer enum.PutScratch(es)
-	hits := 0
-	for i, sp := range spans {
-		ecs := fixed
-		if ecs == nil {
-			t, err := shard.Resolve(ctx, r.g.g, r.k, r.g.cache(), sp, vs, stop)
-			if err != nil {
-				return err
-			}
-			if r.sview != nil {
-				r.sview.sg.counters.Add(sp.Shard, t)
-			}
-			ecs = t.Ecs
-			qs.VCTSize += t.Ix.Size()
-			qs.ECSSize += ecs.Size()
-			qs.CoreTime += t.CoreTime
-			if t.Outcome != qcache.Built {
-				hits++
-			}
-			qs.CacheHit = hits == i+1
-			qs.CacheShared = qs.CacheHit && (qs.CacheShared || t.Outcome == qcache.Shared)
-			if t.Patched {
-				qs.Patched++
-			}
-		}
-		began := time.Now()
-		done, cancelled := enum.EnumerateRangeStop(sink.g, ecs, sink, es, sp.LastStart, stop)
-		qs.EnumTime += time.Since(began)
-		if cancelled {
-			return ctx.Err()
-		}
-		if !done {
-			break // the sink stopped the stream
-		}
+	began := time.Now()
+	_, cancelled := enum.EnumerateStop(sink.g, ecs, sink, es, stop)
+	qs.EnumTime = time.Since(began)
+	if cancelled {
+		return ctx.Err()
 	}
 	return nil
+}
+
+// tables returns the CoreTime tables of the request's window w: the
+// serving-cache entry under g.cacheKey, built by g.buildCacheEntry on a
+// miss, or a build on vs when the cache is off or the key is known to
+// exceed its budget. Tables built on vs stay valid until vs is reused. It
+// records the cache outcome and the CoreTime it paid in qs.
+func (r *Request) tables(ctx context.Context, qs *QueryStats, w tgraph.Window, vs *vct.Scratch, stop func() bool) (*vct.Index, *vct.ECS, error) {
+	g := r.g
+	if c := g.cache(); c != nil {
+		if key := g.cacheKey(r.k, w); !c.Uncacheable(key) {
+			ent, how, err := c.GetOrBuild(ctx, key, func() (*qcache.Entry, error) {
+				return g.buildCacheEntry(ctx, r.k, w)
+			})
+			if err != nil {
+				return nil, nil, err
+			}
+			qs.CacheHit = how != qcache.Built
+			qs.CacheShared = how == qcache.Shared
+			if how == qcache.Built {
+				qs.CoreTime = ent.CoreTime
+			}
+			return ent.Ix, ent.Ecs, nil
+		}
+	}
+	began := time.Now()
+	ix, ecs, err := vct.BuildScratchStop(g.g, r.k, w, vs, stop)
+	qs.CoreTime = time.Since(began)
+	return ix, ecs, core.StopErr(ctx, err)
 }
 
 // runBaseline executes an EnumBase or OTCD request: the paper's baselines

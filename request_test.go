@@ -217,7 +217,7 @@ func TestRequestEngines(t *testing.T) {
 	}
 	coresEqual(t, "watcher", got, want)
 
-	// Sharded view over the same history: three spans, one executor.
+	// Sharded view over the same history: three shards, one executor.
 	sg, err := tkc.ShardGraph(g, tkc.ShardOptions{Shards: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -230,7 +230,7 @@ func TestRequestEngines(t *testing.T) {
 	}
 	coresEqual(t, "sharded", got, want)
 	if st.Shards != 3 {
-		t.Fatalf("sharded request ran %d spans, want 3", st.Shards)
+		t.Fatalf("sharded request overlapped %d shards, want 3", st.Shards)
 	}
 
 	// Snapshot (k,h)-core vs KHCore.

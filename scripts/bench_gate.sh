@@ -24,7 +24,8 @@ tol=${BENCH_GATE_TOLERANCE:-30}
 # serving-cache hits, incremental historical index maintenance plus
 # O(lookup) historical cache hits, the HTTP serving layer's warm
 # point-query round-trip, the durability tier's warm restart plus the PHC
-# partial-range patch fix, and the sharded scatter-gather serving path.
+# partial-range patch fix, and warm queries on a sharded view, which run
+# on the unsharded executor and should cost what unsharded queries do.
 # Fixed iteration counts keep run-to-run variance inside the tolerance.
 #
 # The enumerator's first-core cases guard its lazy window activation,

@@ -18,26 +18,25 @@ type ShardOptions struct {
 	Shards int
 
 	// MaxShardEdges, when > 0, seals the frontier automatically once it
-	// holds at least this many edges (checked after each Append). 0 means
-	// sealing is manual (Seal).
+	// holds at least this many edges (checked at each Append, before its
+	// batch applies). 0 means sealing is manual (Seal).
 	MaxShardEdges int
 }
 
 // ShardedGraph partitions one temporal graph's time axis into contiguous
-// time-range shards behind the same Query API: a window query runs one
-// span per shard whose range overlaps the request, in shard order and in
-// the caller's goroutine, and the spans' streams concatenate to one that
-// is byte-identical to the unsharded enumeration of the same window (see
-// internal/shard for the decomposition argument).
+// time-range shards for storage, behind the same Query API. The shards
+// share one spine graph, and a query on a view runs exactly as the
+// unsharded query of the same window on the view's epoch: the paper's
+// enumeration is bounded by its own output once core times are known, so
+// splitting a window across shards would only add work. A sharded query
+// additionally reports how many shards its window overlaps.
 //
 // The append-only frontier keeps the partition trivially consistent: only
 // the newest shard accepts appends, and Seal freezes it at a cut one rank
 // below the current maximum timestamp — a range no later Append can touch
-// — then opens a new frontier above it. Sealed shards are immutable, so
-// their per-k CoreTime tables cache under seal-scoped keys that survive
-// epoch retirement, and queries crossing a cut stitch the cached tables
-// across the boundary with an incremental re-settle instead of
-// recomputing the shard's interior.
+// — then opens a new frontier above it. A durable sharded graph writes
+// each sealed shard's segment image once and records the cuts in a
+// manifest (BootstrapShardedDir, OpenShardedDir).
 //
 // A ShardedGraph is single-writer (Append/Seal/Close from one goroutine
 // or externally serialised); reads — Latest, Query, stats — are safe from
@@ -45,9 +44,8 @@ type ShardOptions struct {
 type ShardedGraph struct {
 	opts ShardOptions
 
-	spine    *Graph // the whole history; single-writer
-	counters shard.Counters
-	view     atomic.Pointer[ShardedView]
+	spine *Graph // the whole history; single-writer
+	view  atomic.Pointer[ShardedView]
 
 	// Readers never touch dir directly — they use the published view.
 	// st is nil without durability.
@@ -58,8 +56,8 @@ type ShardedGraph struct {
 
 // ShardedView is one published epoch of a sharded graph paired with the
 // shard directory that was current when it was published: a query planned
-// on a view scatters by that directory and reads that epoch, so concurrent
-// appends and seals never shift the data (or the routing) under a running
+// on a view reads that epoch and counts that directory's shards, so
+// concurrent appends and seals never shift the data under a running
 // query.
 //
 // tkc:frozensource
@@ -141,19 +139,28 @@ func (sg *ShardedGraph) publishLocked() {
 // tkc:frozensource
 func (sg *ShardedGraph) Latest() *ShardedView { return sg.view.Load() }
 
-// Query starts a sharded scatter-gather request on the latest view; see
+// Query starts a sharded request on the latest view; see
 // ShardedView.Query.
 func (sg *ShardedGraph) Query(k int) *Request { return sg.Latest().Query(k) }
 
 // Append adds a batch of edges to the frontier shard, with Graph.Append
 // semantics (non-decreasing timestamps, batch atomicity), then publishes a
 // new view. When MaxShardEdges is configured and the frontier has grown
-// past it, the frontier is sealed first. Writer-only. Implements
-// AppendSink, so stream ingestion (AppendReader) and the serving layer
-// batch through a ShardedGraph unchanged.
+// past it, the frontier is sealed before the batch applies, so a failed
+// seal returns its error with the batch unapplied: an error always means
+// the batch left no trace. Writer-only. Implements AppendSink, so stream
+// ingestion (AppendReader) and the serving layer batch through a
+// ShardedGraph unchanged.
 func (sg *ShardedGraph) Append(edges ...Edge) (int, error) {
 	sg.mu.Lock()
 	defer sg.mu.Unlock()
+	sealed := false
+	if sg.opts.MaxShardEdges > 0 && sg.frontierEdgesLocked() >= sg.opts.MaxShardEdges {
+		var err error
+		if sealed, err = sg.sealLocked(); err != nil {
+			return 0, err
+		}
+	}
 	var added int
 	var err error
 	if sg.st != nil {
@@ -161,15 +168,12 @@ func (sg *ShardedGraph) Append(edges ...Edge) (int, error) {
 	} else {
 		added, err = sg.spine.Append(edges...)
 	}
+	if err == nil || sealed {
+		sg.publishLocked()
+	}
 	if err != nil {
 		return 0, err
 	}
-	if sg.opts.MaxShardEdges > 0 && sg.frontierEdgesLocked() >= sg.opts.MaxShardEdges {
-		if _, err := sg.sealLocked(); err != nil {
-			return added, err
-		}
-	}
-	sg.publishLocked()
 	return added, nil
 }
 
@@ -244,8 +248,9 @@ func (sg *ShardedGraph) NumShards() int { return sg.Latest().dir.NumShards() }
 // cache); mutate only through the ShardedGraph.
 func (sg *ShardedGraph) Spine() *Graph { return sg.spine }
 
-// SetCacheOptions reconfigures the serving cache shared by the sharded
-// query paths, the spine and its snapshots; see Graph.SetCacheOptions.
+// SetCacheOptions reconfigures the serving cache of the spine, which its
+// snapshots and every sharded view's queries share; see
+// Graph.SetCacheOptions.
 func (sg *ShardedGraph) SetCacheOptions(o CacheOptions) { sg.spine.SetCacheOptions(o) }
 
 // CacheStats reports the shared serving cache; see Graph.CacheStats.
@@ -264,8 +269,7 @@ func (sg *ShardedGraph) Close() error {
 	return nil
 }
 
-// ShardStats describes one shard of a published view, with its serving
-// counters.
+// ShardStats describes one shard of a published view.
 type ShardStats struct {
 	ID     int
 	Sealed bool
@@ -275,10 +279,6 @@ type ShardStats struct {
 	StartTime, EndTime int64
 	Edges              int   // edges in the shard's range
 	Seq                int64 // seal-time mutation sequence; 0 for the frontier
-
-	Tasks     int64 // query spans this shard has served
-	CacheHits int64 // spans served from resident (or shared) CoreTime tables
-	Patched   int64 // spans that ran a boundary re-settle over the cut
 }
 
 // ShardStats reports the latest view's shards in time order.
@@ -302,8 +302,6 @@ func (sg *ShardedGraph) ShardStats() []ShardStats {
 			s.StartTime = tg.RawTime(start)
 			s.EndTime = tg.RawTime(end)
 		}
-		c := sg.counters.Get(i)
-		s.Tasks, s.CacheHits, s.Patched = c.Tasks, c.CacheHits, c.Patched
 		out = append(out, s)
 		start = end + 1
 	}
@@ -321,12 +319,13 @@ func (v *ShardedView) NumShards() int { return v.dir.NumShards() }
 // sharded differential tests compare against.
 func (v *ShardedView) Snapshot() *Snapshot { return v.snap }
 
-// Query starts a scatter-gather request against this view: the plan pins
-// the view's epoch and directory, streams merged results in the same
-// order (and bytes) as an unsharded query of the same window, and
-// supports the one-shot builder verbs — Window, Project, EarlyStop,
-// Stats — plus every execution mode. Algorithm, Snapshot and Using are
-// engine overrides of the unsharded path and are rejected.
+// Query starts a request against this view: the plan pins the view's
+// epoch and runs as the unsharded query of the same window on it, with
+// the same results, bytes and serving-cache entries, and reports in
+// QueryStats.Shards how many of the view's shards the window overlaps. It
+// supports the one-shot builder verbs — Window, Project, EarlyStop, Stats
+// — plus every execution mode. Algorithm, Snapshot and Using are engine
+// overrides of the unsharded path and are rejected.
 func (v *ShardedView) Query(k int) *Request {
 	r := v.snap.Graph.Query(k)
 	r.sview = v

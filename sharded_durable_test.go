@@ -117,6 +117,41 @@ func TestShardedDurableLifecycle(t *testing.T) {
 	}
 }
 
+// TestShardedAppendFailedSealLeavesNoTrace removes a durable sharded
+// graph's data directory, standing in for a disk that refuses the seal's
+// segment image while the open WAL still accepts writes. An Append whose
+// auto-seal fails must report the batch as failed and leave it unapplied,
+// with the published view still equal to the spine.
+func TestShardedAppendFailedSealLeavesNoTrace(t *testing.T) {
+	dir := t.TempDir()
+	edges := randomEdges(77, 14, 700, 50)
+	sort.Slice(edges, func(i, j int) bool { return edges[i].Time < edges[j].Time })
+	base, rest := edges[:380], edges[380:]
+	sg, err := tkc.BootstrapShardedDir(dir, base, tkc.ShardOptions{MaxShardEdges: 250})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sg.Close()
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+
+	before := sg.Spine().NumEdges()
+	added, err := sg.Append(rest...)
+	if err == nil {
+		t.Fatal("Append succeeded although its seal could not write the segment image")
+	}
+	if added != 0 {
+		t.Fatalf("failed Append reported %d edges added", added)
+	}
+	if n := sg.Spine().NumEdges(); n != before {
+		t.Fatalf("failed Append changed the spine from %d to %d edges", before, n)
+	}
+	if n := sg.Latest().Snapshot().NumEdges(); n != before {
+		t.Fatalf("latest view holds %d edges, spine %d", n, before)
+	}
+}
+
 func TestOpenShardedDirRejectsForeignManifest(t *testing.T) {
 	dir := t.TempDir()
 	sg, err := tkc.BootstrapShardedDir(dir, randomEdges(9, 10, 300, 20), tkc.ShardOptions{Shards: 3})

@@ -14,7 +14,7 @@ import (
 // TestShardedRacingDifferential is the racing differential suite of the
 // shard layer, in the mould of TestConcurrentAppendVsQueryDifferential:
 // reader goroutines continuously pin the latest published ShardedView and
-// run scatter-gather queries while the writer appends the edge-stream tail
+// run sharded queries while the writer appends the edge-stream tail
 // and the frontier auto-seals — the directory grows mid-test, so readers
 // hold views of different shard counts concurrently. Every sharded result
 // must (a) byte-match the unsharded enumeration of the same pinned epoch,
@@ -46,17 +46,17 @@ func TestShardedRacingDifferential(t *testing.T) {
 	}
 	var mu sync.Mutex
 	seen := map[int64]obs{}
-	spanning := false // some query stitched across a cut mid-churn
+	spanning := false // some query's window overlapped a cut mid-churn
 	observed := func(seq int64) bool {
 		mu.Lock()
 		defer mu.Unlock()
 		_, ok := seen[seq]
 		return ok
 	}
-	record := func(o obs, patched int) error {
+	record := func(o obs, overlaps int) error {
 		mu.Lock()
 		defer mu.Unlock()
-		if patched > 0 {
+		if overlaps >= 2 {
 			spanning = true
 		}
 		if prev, ok := seen[o.seq]; ok {
@@ -88,7 +88,7 @@ func TestShardedRacingDifferential(t *testing.T) {
 				lo, hi := snap.TimeSpan()
 				ws := hi - (hi-lo)/10
 
-				// Inline byte-match: the scatter-gather stream against the
+				// Inline byte-match: the sharded stream against the
 				// unsharded enumeration of the exact same pinned epoch.
 				want, err := snap.Query(k).Window(ws, hi).Collect(ctx)
 				if err != nil {
@@ -112,7 +112,7 @@ func TestShardedRacingDifferential(t *testing.T) {
 					t.Errorf("fingerprint on epoch %d: %v", v.Seq(), err)
 					return
 				}
-				if err := record(obs{seq: v.Seq(), edges: snap.NumEdges(), shards: v.NumShards(), fp: fp}, st.Patched); err != nil {
+				if err := record(obs{seq: v.Seq(), edges: snap.NumEdges(), shards: v.NumShards(), fp: fp}, st.Shards); err != nil {
 					t.Error(err)
 					return
 				}
@@ -146,7 +146,7 @@ func TestShardedRacingDifferential(t *testing.T) {
 		t.Fatalf("frontier never sealed mid-test (%d shards throughout)", startShards)
 	}
 	if !spanning {
-		t.Fatal("no query stitched across a shard cut; the boundary case went unexercised")
+		t.Fatal("no query window overlapped two shards; the cut-crossing case went unexercised")
 	}
 
 	// Quiesced verification: rebuild every observed epoch's edge prefix

@@ -30,7 +30,7 @@ func shardedMustMatch(t *testing.T, v *tkc.ShardedView, k int, start, end int64)
 				k, start, end, proj, len(got), len(want))
 		}
 		if st.Shards < 1 {
-			t.Fatalf("sharded query reported %d shard spans", st.Shards)
+			t.Fatalf("sharded query reported %d overlapping shards", st.Shards)
 		}
 		qs = st
 	}
@@ -63,8 +63,8 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 }
 
 // TestShardedBoundarySpanningCores builds a window that crosses every cut
-// and requires the boundary re-settle to have run — the stitched path, not
-// a fresh rebuild — while still matching the oracle.
+// and requires it to overlap several shards, to hold result cores that
+// themselves span a cut, and to match the oracle.
 func TestShardedBoundarySpanningCores(t *testing.T) {
 	edges := randomEdges(23, 12, 1200, 30) // dense: cores span wide windows
 	sg, err := tkc.NewSharded(edges, tkc.ShardOptions{Shards: 4})
@@ -75,14 +75,14 @@ func TestShardedBoundarySpanningCores(t *testing.T) {
 	v := sg.Latest()
 	lo, hi := sg.Spine().TimeSpan()
 
-	// Warm the shard-local indexes, then query across the cuts.
+	// Warm the cache, then query across the cuts.
 	shardedMustMatch(t, v, 2, lo, hi)
 	st := shardedMustMatch(t, v, 2, lo, hi)
 	if !st.CacheHit {
 		t.Fatalf("warm cross-shard query missed the cache: %+v", st)
 	}
-	if st.Patched == 0 {
-		t.Fatalf("cross-shard query ran no boundary re-settle: %+v", st)
+	if st.Shards < 2 {
+		t.Fatalf("cross-shard window overlaps %d shards, want >= 2: %+v", st.Shards, st)
 	}
 
 	// At least one result core must itself span a cut.
@@ -101,6 +101,42 @@ func TestShardedBoundarySpanningCores(t *testing.T) {
 	}
 	if !spanning {
 		t.Fatal("no result core spans a shard cut; the boundary case is untested")
+	}
+}
+
+// TestShardedQuerySharesUnshardedTables requires a sharded query to run as
+// the unsharded query of the same window on the view's epoch: once the
+// view's Snapshot has counted a cut-crossing window, the sharded count of
+// that window is a cache hit that pays no CoreTime phase, with the same
+// result.
+func TestShardedQuerySharesUnshardedTables(t *testing.T) {
+	sg, err := tkc.NewSharded(randomEdges(23, 12, 1200, 30), tkc.ShardOptions{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sg.Close()
+	v := sg.Latest()
+	lo, hi := sg.Spine().TimeSpan()
+	_, _, start, end := shardedBenchWindows(lo, hi, sg.ShardStats()[1].EndTime)
+	ctx := context.Background()
+
+	want, err := v.Snapshot().Query(2).Window(start, end).Count(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Cores == 0 {
+		t.Fatal("cut-crossing window holds no cores; the comparison is vacuous")
+	}
+	got, err := v.Query(2).Window(start, end).Count(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.CacheHit || got.CoreTime != 0 || got.Shards < 2 {
+		t.Fatalf("sharded count after the unsharded one: cacheHit=%v coreTime=%v shards=%d, want a hit with no CoreTime over >= 2 shards",
+			got.CacheHit, got.CoreTime, got.Shards)
+	}
+	if got.Cores != want.Cores || got.Edges != want.Edges {
+		t.Fatalf("sharded count %d/%d, unsharded %d/%d", got.Cores, got.Edges, want.Cores, want.Edges)
 	}
 }
 
@@ -170,6 +206,28 @@ func TestShardedAppendSealLifecycle(t *testing.T) {
 
 	lo, hi := sg.Spine().TimeSpan()
 	shardedMustMatch(t, sg.Latest(), 2, lo, hi)
+}
+
+// TestShardedAppendRejectedAfterSeal sends a batch the spine rejects once
+// the frontier is full: the auto-seal that runs before the batch is
+// published, and the batch leaves no trace.
+func TestShardedAppendRejectedAfterSeal(t *testing.T) {
+	sg, err := tkc.NewSharded(randomEdges(5, 14, 400, 60), tkc.ShardOptions{MaxShardEdges: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sg.Close()
+	edges, shards := sg.Spine().NumEdges(), sg.NumShards()
+	lo, _ := sg.Spine().TimeSpan()
+	if _, err := sg.Append(tkc.Edge{U: 1, V: 2, Time: lo - 1}); err == nil {
+		t.Fatal("Append accepted an edge older than the frontier")
+	}
+	if got := sg.NumShards(); got != shards+1 {
+		t.Fatalf("latest view has %d shards, want the sealed %d", got, shards+1)
+	}
+	if got := sg.Latest().Snapshot().NumEdges(); got != edges || sg.Spine().NumEdges() != edges {
+		t.Fatalf("rejected batch changed the graph: view %d, spine %d, want %d edges", got, sg.Spine().NumEdges(), edges)
+	}
 }
 
 func TestShardedBuilderGuards(t *testing.T) {

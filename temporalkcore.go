@@ -216,15 +216,13 @@ type QueryStats struct {
 	// (singleflight) — a subset of CacheHit.
 	CacheShared bool
 
-	// Shards is the number of shard spans a sharded request scattered to;
-	// zero for unsharded requests. The spans run one after another in the
-	// caller's goroutine, so for sharded requests CoreTime and EnumTime
-	// are wall times, summed over the spans that ran, as are
-	// VCTSize/ECSSize over their tables. CacheHit reports that every span
-	// that ran was served from resident (or shared) tables.
+	// Shards is the number of the view's shards a sharded request's window
+	// overlaps; zero for unsharded requests. Every other statistic is the
+	// unsharded query's: a sharded request runs exactly as the same query
+	// on the view's Snapshot.
 	Shards int
-	// Patched counts the spans that extended a cached shard-local index
-	// across its cut with a boundary re-settle instead of rebuilding.
+	// Patched is always zero: no execution sets it. It is kept so code
+	// that reads it still compiles.
 	Patched int
 }
 

@@ -68,10 +68,10 @@ type Querier interface {
 func (q QueryJSON) Request(g *Graph) (*Request, error) { return q.RequestFrom(g) }
 
 // RequestFrom is Request for any Querier — in particular a *ShardedView,
-// whose requests scatter-gather across the view's shards. Note a sharded
-// request rejects the Algorithm verb (the scatter-gather path has one
-// engine), so a body naming an algorithm fails eagerly here against a
-// sharded source.
+// whose requests run on the view's epoch and report the shards their
+// window overlaps. Note a sharded request rejects the Algorithm verb (it
+// runs the Enum executor only), so a body naming an algorithm fails
+// eagerly here against a sharded source.
 func (q QueryJSON) RequestFrom(g Querier) (*Request, error) {
 	r := g.Query(q.K)
 	start, end := int64(math.MinInt64), int64(math.MaxInt64)
