@@ -36,7 +36,10 @@ func benchSetup(b *testing.B, code string, edges int) (*tgraph.Graph, *vct.ECS) 
 // ns/op divided by R-edges approximates the per-result-edge constant, the
 // paper's O(|R|) claim. The -first cases stop at the first core, the shape
 // of a point query: they pay the set-up and the sweep up to that core's
-// start, O(edges in range + start times swept), not O(|ECS|).
+// start, O(edges in range + start times swept), not O(|ECS|). The -count
+// cases take the same totals from CountStop's per-start-time aggregates,
+// the unlimited Count path: O(m + |ECS| log tlen + tlen), independent of
+// |R|.
 func BenchmarkEnumerate(b *testing.B) {
 	for _, code := range []string{"CM", "PL"} {
 		b.Run(code, func(b *testing.B) {
@@ -68,6 +71,20 @@ func BenchmarkEnumerate(b *testing.B) {
 			if count.Cores != 1 {
 				b.Fatalf("first-core enumeration emitted %d cores", count.Cores)
 			}
+		})
+	}
+	for _, code := range []string{"CM", "PL"} {
+		b.Run(code+"-count", func(b *testing.B) {
+			_, ecs := benchSetup(b, code, 5000)
+			s := enum.GetScratch()
+			defer enum.PutScratch(s)
+			_, edges, _ := enum.CountStop(ecs, s, nil) // warm the scratch
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_, edges, _ = enum.CountStop(ecs, s, nil)
+			}
+			b.ReportMetric(float64(edges), "R-edges")
 		})
 	}
 }

@@ -1,0 +1,158 @@
+package enum
+
+import (
+	"math/bits"
+
+	"temporalkcore/internal/ds"
+	"temporalkcore/internal/tgraph"
+	"temporalkcore/internal/vct"
+)
+
+// endAgg aggregates the live windows whose end offset falls in one
+// segment-tree node's range: cnt windows with d distinct ends, and s, the
+// sum over those ends e of the number of the node's windows with end <= e.
+type endAgg struct {
+	cnt, d int32
+	s      int64
+}
+
+// join combines the aggregates of two adjacent ranges, l before r: every
+// distinct end of r also counts l's windows.
+func join(l, r endAgg) endAgg {
+	return endAgg{cnt: l.cnt + r.cnt, d: l.d + r.d, s: l.s + r.s + int64(r.d)*int64(l.cnt)}
+}
+
+// leafAgg is the aggregate of one end offset holding c live windows.
+func leafAgg(c int32) endAgg {
+	return endAgg{cnt: c, d: min(c, 1), s: int64(c)}
+}
+
+// CountStop returns what a CountSink would tally from EnumerateStop over
+// ecs — the number of distinct temporal k-cores and |R|, their summed
+// edge counts — without walking L_t. It is an extension beyond the paper:
+// the paper's Enum lists cores in O(|R|), and a count needs only two
+// aggregates per start time t. Let e* be the smallest end among the live
+// windows starting at t (the first boundary AS-Output emits at, Lemma 6).
+// The cores at t are the distinct live ends >= e*, and |R_t| sums, over
+// those ends e, the number of live windows with end <= e.
+//
+// The sweep keeps EnumerateStop's calendar and per-edge window cursor, and
+// a segment tree over end offsets in place of L_t, so an activation is a
+// leaf decrement and a leaf increment. The cost is O(m + |ECS| log tlen +
+// tlen) for m edges in range and tlen start times, independent of |R|.
+// stop (when non-nil) is polled every stopStride start times; cancelled
+// reports that it fired, with the counts of the start times swept so far.
+//
+// tkc:cancellable
+func CountStop(ecs *vct.ECS, s *Scratch, stop func() bool) (cores, edges int64, cancelled bool) {
+	w := ecs.Range
+	tlen := int(w.End-w.Start) + 1
+	lo, hi := ecs.EdgeRange()
+	m := int(hi - lo)
+	off, wins := ecs.Flat()
+
+	// The tree has a power-of-two number of leaves, one per end offset;
+	// node i's children are 2i and 2i+1, and node 1 aggregates every live
+	// window. Each edge's first window is live at Ts (Definition 6): load
+	// the first batch as leaf counts and build the tree in O(tlen).
+	leaves := 1 << bits.Len(uint(tlen-1))
+	tree := ds.GrowZero(s.tree, 2*leaves)
+	slots := ds.Grow(s.slots, m+1)
+	cal := ds.GrowZero(s.cal, tlen)
+	defer func() { s.slots, s.cal, s.tree = slots, cal, tree }()
+	for i := 1; i <= m; i++ {
+		a, b := off[i-1], off[i]
+		if a == b {
+			continue
+		}
+		win := wins[a]
+		slots[i].cur, slots[i].lim = a, b
+		file(slots, cal, wins, int32(i), int(win.Start-w.Start))
+		tree[leaves+int(win.End-w.Start)].cnt++
+	}
+	for i := leaves; i < 2*leaves; i++ {
+		tree[i] = leafAgg(tree[i].cnt)
+	}
+	for i := leaves - 1; i > 0; i-- {
+		tree[i] = join(tree[2*i], tree[2*i+1])
+	}
+
+	for so := 0; so < tlen; so++ {
+		if stop != nil && so&(stopStride-1) == 0 && stop() {
+			return cores, edges, true
+		}
+
+		// Retire the windows whose start has passed and activate each such
+		// edge's next window, exactly as EnumerateStop does.
+		if so > 0 {
+			for sl := cal[so-1]; sl != 0; {
+				x := &slots[sl]
+				nextCal := x.cal
+				from := leaves + int(wins[x.cur].End-w.Start)
+				if c := x.cur + 1; c < x.lim {
+					win := wins[c]
+					x.cur = c
+					file(slots, cal, wins, sl, int(win.Start-w.Start))
+					move(tree, from, leaves+int(win.End-w.Start))
+				} else {
+					move(tree, from, 0)
+				}
+				sl = nextCal
+			}
+		}
+
+		// No live window starts at t: no core does either (Lemma 4).
+		h := cal[so]
+		if h == 0 {
+			continue
+		}
+		estar := int(wins[slots[h].cur].End - w.Start)
+
+		// The cores at t are the distinct ends from e* on, and each
+		// counts every live window up to its end, the prefix [0, e*)
+		// included. The root counts the same for every distinct end, so
+		// the suffix's share is the root minus the prefix's own aggregate.
+		var pre endAgg
+		for i := leaves + estar; i > 1; i >>= 1 {
+			if i&1 == 1 {
+				pre = join(tree[i-1], pre)
+			}
+		}
+		cores += int64(tree[1].d - pre.d)
+		edges += tree[1].s - pre.s
+	}
+	return cores, edges, false
+}
+
+// file puts slot sl, whose live window starts at offset st, in that start's
+// calendar bucket. The bucket's head keeps the smallest end, so e* is read
+// off it in O(1); the rest of the bucket is in no particular order.
+func file(slots []slot, cal []int32, wins []tgraph.Window, sl int32, st int) {
+	h := cal[st]
+	if h != 0 && wins[slots[h].cur].End <= wins[slots[sl].cur].End {
+		slots[sl].cal = slots[h].cal
+		slots[h].cal = sl
+		return
+	}
+	slots[sl].cal = h
+	cal[st] = sl
+}
+
+// move takes one live window off leaf i and puts one on leaf j (j == 0:
+// none), then refreshes the aggregates above both leaves, sharing the walk
+// from their lowest common ancestor up.
+func move(tree []endAgg, i, j int) {
+	tree[i] = leafAgg(tree[i].cnt - 1)
+	if j != 0 {
+		tree[j] = leafAgg(tree[j].cnt + 1)
+		for i, j = i>>1, j>>1; i != j; i, j = i>>1, j>>1 {
+			tree[i] = join(tree[2*i], tree[2*i+1])
+			tree[j] = join(tree[2*j], tree[2*j+1])
+		}
+	} else {
+		i >>= 1
+	}
+	for ; i > 0; i >>= 1 {
+		tree[i] = join(tree[2*i], tree[2*i+1])
+	}
+}

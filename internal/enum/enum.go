@@ -26,12 +26,12 @@ type slot struct {
 }
 
 // Scratch holds the edge slots, the start-time calendar, the activation
-// batch and the edge buffer of Enumerate, so repeated enumerations — batch
-// workloads, PreparedQuery reuse — allocate nothing once warm. It is
-// O(m + tlen) for m edges in the query range and tlen start times, not
-// O(|ECS|): windows enter the slots lazily as the sweep reaches them. The
-// zero value is ready to use; a Scratch must not be shared by concurrent
-// enumerations.
+// batch and the edge buffer of Enumerate, and the end-offset tree of
+// CountStop, so repeated enumerations and counts — batch workloads,
+// PreparedQuery reuse — allocate nothing once warm. It is O(m + tlen) for
+// m edges in the query range and tlen start times, not O(|ECS|): windows
+// enter the slots lazily as the sweep reaches them. The zero value is
+// ready to use; a Scratch must not be shared by concurrent enumerations.
 type Scratch struct {
 	slots []slot
 	cal   []int32  // calendar: head slot per start offset, 0 when empty
@@ -40,6 +40,7 @@ type Scratch struct {
 	tmp   []uint64 // first-batch keys in slot order, before the counting sort
 
 	edgeBuf []tgraph.EID
+	tree    []endAgg // CountStop's segment tree over end offsets
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}

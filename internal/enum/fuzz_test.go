@@ -11,7 +11,9 @@ import (
 
 // FuzzEnumerateMatchesOracle decodes the fuzz input as a temporal edge
 // list, a k and a query window, and verifies Enum against the brute-force
-// oracle on that window. It also pins the order contract early stopping
+// oracle on that window. CountStop's cores and |R| must equal both the
+// oracle's totals and the walk's CountSink, and a stop hook that fires at
+// once must cancel it. It also pins the order contract early stopping
 // relies on: a LimitSink stopped after n cores emits exactly a prefix of
 // the unbounded raw stream, cores and edge order alike. Run the seeds
 // with the regular test suite or explore with
@@ -26,6 +28,10 @@ func FuzzEnumerateMatchesOracle(f *testing.F) {
 	f.Add([]byte{5, 6, 9, 6, 7, 9, 5, 7, 9, 7, 8, 9}, byte(3))
 	f.Add([]byte{1, 2, 1, 2, 3, 2, 1, 3, 3, 3, 4, 4, 2, 4, 5, 1, 4, 6, 3, 1, 7}, byte(1<<2|1<<5|1))
 	f.Add([]byte{0, 1, 2, 1, 2, 3, 0, 2, 4, 2, 3, 5, 0, 3, 6, 1, 3, 7, 0, 1, 8}, byte(2<<2|1))
+	// At the first start time three live windows end at one offset below
+	// e* and one at another, so CountStop's prefix aggregate depends on
+	// the order it joins tree nodes in.
+	f.Add([]byte{4, 2, 6, 1, 2, 0, 2, 3, 5, 3, 4, 5, 2, 4, 5, 1, 4, 8}, byte(2<<5|7<<2|1))
 
 	f.Fuzz(func(t *testing.T, data []byte, kb byte) {
 		if len(data) < 3 || len(data) > 90 {
@@ -65,6 +71,20 @@ func FuzzEnumerateMatchesOracle(f *testing.F) {
 		want := enum.BruteForce(g, k, w)
 		if !enum.EqualCoreSets(sink.Cores, want) {
 			t.Fatalf("Enum disagrees with oracle (k=%d, %v)\n got %+v\nwant %+v", k, w, sink.Cores, want)
+		}
+		var walk enum.CountSink
+		enum.EnumerateWith(g, ecs, &walk, s)
+		wantR := int64(0)
+		for _, c := range want {
+			wantR += int64(len(c.Edges))
+		}
+		cores, edges, cancelled := enum.CountStop(ecs, s, nil)
+		if cancelled || cores != int64(len(want)) || edges != wantR || cores != walk.Cores || edges != walk.EdgeTotal {
+			t.Fatalf("k=%d %v: CountStop = (%d cores, |R| %d, cancelled %v); oracle (%d, %d), walk (%d, %d)",
+				k, w, cores, edges, cancelled, len(want), wantR, walk.Cores, walk.EdgeTotal)
+		}
+		if _, _, cancelled := enum.CountStop(ecs, s, func() bool { return true }); !cancelled {
+			t.Fatalf("k=%d %v: CountStop ignored a stop hook that fires at once", k, w)
 		}
 		var raw rawSink
 		enum.EnumerateWith(g, ecs, &raw, s)

@@ -14,8 +14,9 @@ import (
 // shapes — different graphs and k, edge ranges that shrink and grow from
 // one run to the next — and checks each enumeration's raw emission stream
 // (core order and edge order, unsorted) against a run on a fresh Scratch.
-// Stale slot, calendar or batch state from an earlier, larger enumeration
-// must never leak into a later one.
+// CountStop runs on the shared Scratch between the walks and must match
+// the stream's totals. Stale slot, calendar, batch or tree state from an
+// earlier, larger enumeration or count must never leak into a later one.
 func TestEnumerateWithReuse(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	graphs := []*tgraph.Graph{paperex.Graph(), randomGraph(r, 14, 160, 24)}
@@ -44,6 +45,7 @@ func TestEnumerateWithReuse(t *testing.T) {
 			grew++
 		}
 		prev = m
+		cores, edges, _ := enum.CountStop(ecs, s, nil)
 		var got, want rawSink
 		if !enum.EnumerateWith(g, ecs, &got, s) {
 			t.Fatal("EnumerateWith stopped early")
@@ -53,6 +55,13 @@ func TestEnumerateWithReuse(t *testing.T) {
 		}
 		if !sameStream(got.cores, want.cores) {
 			t.Fatalf("trial %d k=%d %v: scratch reuse changed the emission stream\n got %+v\nwant %+v", trial, k, w, got.cores, want.cores)
+		}
+		wantR := int64(0)
+		for _, c := range want.cores {
+			wantR += int64(len(c.Edges))
+		}
+		if cores != int64(len(want.cores)) || edges != wantR {
+			t.Fatalf("trial %d k=%d %v: CountStop on the reused scratch = (%d, %d), want (%d, %d)", trial, k, w, cores, edges, len(want.cores), wantR)
 		}
 	}
 	if shrank == 0 || grew == 0 {

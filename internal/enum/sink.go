@@ -3,7 +3,10 @@
 // EnumBase (Algorithm 3) and the optimal Enum / AS-Output pair
 // (Algorithms 4 and 5, Sections V-B and V-C). The optimal enumerator keeps
 // one slot per edge and a start-time calendar in a pooled Scratch, so
-// repeated enumerations allocate nothing once warm.
+// repeated enumerations allocate nothing once warm. CountStop, an
+// extension beyond the paper, returns the number of cores and |R| from
+// per-start-time aggregates over the same calendar without emitting any
+// core, in time independent of |R|.
 package enum
 
 import (

@@ -59,10 +59,11 @@ func BuildScratch(g *tgraph.Graph, k int, w tgraph.Window, s *Scratch) (*Index, 
 }
 
 // BuildScratchStop is BuildScratch with a cancellation hook: stop (when
-// non-nil) is polled every stopStride worklist pops of the settle loop and
-// once per start-time transition. When it fires the build abandons its
-// partial state (the Scratch stays reusable) and returns ErrStopped, so a
-// runaway CoreTime phase cancels within one stride of work.
+// non-nil) is polled at least every stopStride worklist pops of the settle
+// loop and every startStride start-time transitions, whichever comes
+// first. When it fires the build abandons its partial state (the Scratch
+// stays reusable) and returns ErrStopped, so a runaway CoreTime phase
+// cancels within one stride of work.
 //
 // tkc:cancellable
 func BuildScratchStop(g *tgraph.Graph, k int, w tgraph.Window, s *Scratch, stop func() bool) (*Index, *ECS, error) {
@@ -92,8 +93,12 @@ type ecsRec struct {
 	win tgraph.Window
 }
 
-// stopStride bounds how much settle work runs between cancellation polls.
-const stopStride = 2048
+// stopStride bounds how many worklist pops run between cancellation
+// polls, and startStride how many start-time transitions do.
+const (
+	stopStride  = 2048
+	startStride = 64
+)
 
 type builder struct {
 	g *tgraph.Graph
@@ -104,6 +109,7 @@ type builder struct {
 
 	stop    func() bool // optional cancellation hook, polled with a stride
 	stopped bool
+	work    int // settle work since the last poll; see spend
 
 	*Scratch
 }
@@ -254,18 +260,20 @@ func (b *builder) record(s tgraph.TS) {
 
 // settle runs the worklist until no core time can be raised. When track is
 // true the raised vertices are appended to b.changed. A cancelled build
-// abandons the worklist mid-settle; callers check b.stopped. The stop hook
-// poll is hoisted behind a single predictable branch plus a local stride
-// counter so uncancellable builds pay nothing on this hot loop.
+// abandons the worklist mid-settle; callers check b.stopped. Each call is
+// one start time's fixed point, so it charges the stop hook's budget a
+// transition's share up front and each pop one unit; the budget outlives
+// the call, because a window-local settle often pops only a handful of
+// vertices. The poll sits behind a single predictable branch so
+// uncancellable builds pay nothing on this hot loop.
 func (b *builder) settle(track bool) {
 	poll := b.stop != nil
-	tick := 0
+	if poll && b.spend(stopStride/startStride) {
+		return
+	}
 	for b.q.Len() > 0 {
-		if poll {
-			if tick++; tick&(stopStride-1) == 0 && b.stop() {
-				b.stopped = true
-				return
-			}
+		if poll && b.spend(1) {
+			return
 		}
 		u := tgraph.VID(b.q.Pop())
 		b.inQ[u] = false
@@ -278,6 +286,17 @@ func (b *builder) settle(track bool) {
 		}
 		b.raise(u, nv)
 	}
+}
+
+// spend charges n units of work to the stop hook's budget and polls the
+// hook once stopStride units have built up since the last poll. It reports
+// whether the build must stop.
+func (b *builder) spend(n int) bool {
+	if b.work += n; b.work >= stopStride {
+		b.work = 0
+		b.stopped = b.stop()
+	}
+	return b.stopped
 }
 
 // raise lifts ct[u] to nv and wakes each window neighbour whose

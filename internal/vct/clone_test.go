@@ -1,9 +1,11 @@
 package vct_test
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
+	"temporalkcore/internal/gen"
 	"temporalkcore/internal/paperex"
 	"temporalkcore/internal/tgraph"
 	"temporalkcore/internal/vct"
@@ -32,10 +34,32 @@ func TestBuildStopMatchesBuild(t *testing.T) {
 		}
 	}
 
-	// The stop hook is polled with a bounded stride (once per 2048 settle
-	// pops), so on this tiny example it never fires — the cancellation
-	// branch itself is exercised by the larger-graph ctx tests. Validation
-	// still applies.
+	// The stop hook is polled at least every 2048 settle pops and every 64
+	// start-time transitions, so on this tiny example it is never called.
+	// A replica window of several hundred start times must reach it, even
+	// though a window-local settle pops only a few vertices per start time.
+	rep, err := gen.ReplicaByCode("CM")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rg, err := rep.Generate(2000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rw := tgraph.Window{Start: 201, End: 700}
+	s := &vct.Scratch{}
+	polls := 0
+	if _, _, err := vct.BuildScratchStop(rg, 5, rw, s, func() bool { polls++; return false }); err != nil {
+		t.Fatal(err)
+	}
+	if want := int(rw.End-rw.Start) / 64; polls < want {
+		t.Fatalf("a build over %d start times polled its stop hook %d times, want >= %d", rw.End-rw.Start+1, polls, want)
+	}
+	if _, _, err := vct.BuildScratchStop(rg, 5, rw, s, func() bool { return true }); !errors.Is(err, vct.ErrStopped) {
+		t.Fatalf("a stop hook that fires on its first call returned %v, want ErrStopped", err)
+	}
+
+	// Validation still applies.
 	if _, _, err := vct.BuildStop(g, 0, w, nil); err == nil {
 		t.Fatal("k=0 accepted")
 	}

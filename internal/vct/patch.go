@@ -38,12 +38,13 @@ func PatchScratch(g *tgraph.Graph, k int, w tgraph.Window, cached *Index, dirtyF
 }
 
 // PatchScratchStop is PatchScratch with a cancellation hook, polled with
-// the same bounded stride as BuildScratchStop (every stopStride worklist
-// pops of the settle loop and once per start-time transition). When it
-// fires the patch abandons its partial state — the Scratch stays reusable,
-// the cached index is untouched — and returns ErrStopped, so even a
-// live-window refresh over a large dirty suffix cancels within one stride
-// of work. The hook also covers the full-rebuild fallback.
+// the same bounded strides as BuildScratchStop: at least every stopStride
+// worklist pops of the settle loop and every startStride start-time
+// transitions. When it fires the patch abandons its partial state — the
+// Scratch stays reusable, the cached index is untouched — and returns
+// ErrStopped, so even a live-window refresh over a large dirty suffix
+// cancels within one stride of work. The hook also covers the
+// full-rebuild fallback.
 //
 // tkc:cancellable
 func PatchScratchStop(g *tgraph.Graph, k int, w tgraph.Window, cached *Index, dirtyFrom tgraph.TS, s *Scratch, stop func() bool) (ix *Index, ecs *ECS, patched bool, err error) {

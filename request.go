@@ -261,7 +261,11 @@ func (r *Request) First(ctx context.Context) (Core, bool, error) {
 }
 
 // Count executes the request without materialising results and returns the
-// statistics (distinct cores, |R|, index sizes, phase timings).
+// statistics (distinct cores, |R|, index sizes, phase timings). Without an
+// EarlyStop limit an Enum count takes cores and |R| from per-start-time
+// aggregates over the skyline (enum.CountStop) instead of walking every
+// core, so its enumeration phase does not grow with |R|; the totals equal
+// the walk's.
 func (r *Request) Count(ctx context.Context) (QueryStats, error) {
 	return r.run(ctx, nil)
 }
@@ -387,9 +391,10 @@ func (s *projSink) project(tti tgraph.Window, eids []tgraph.EID) Core {
 // watcher and sharded. It takes the CoreTime skylines from the request's
 // source (the prepared tables, the watcher's pinned view, or the window's
 // tables; see tables) and enumerates them into sink in the caller's
-// goroutine. A sharded request runs exactly as an unsharded one on the
-// view's pinned epoch; it only also reports how many of the view's shards
-// the window overlaps.
+// goroutine; an unlimited count runs enum.CountStop over them instead. A
+// sharded request runs exactly as an unsharded one on the view's pinned
+// epoch; it only also reports how many of the view's shards the window
+// overlaps.
 func (r *Request) enumerate(ctx context.Context, qs *QueryStats, sink *projSink) error {
 	var w tgraph.Window
 	if r.prep == nil && r.watch == nil {
@@ -431,7 +436,14 @@ func (r *Request) enumerate(ctx context.Context, qs *QueryStats, sink *projSink)
 	es := enum.GetScratch()
 	defer enum.PutScratch(es)
 	began := time.Now()
-	_, cancelled := enum.EnumerateStop(sink.g, ecs, sink, es, stop)
+	var cancelled bool
+	if sink.fn == nil && sink.limit == 0 {
+		// An unlimited count receives no core: take cores and |R| from
+		// the per-start-time aggregates instead of walking L_t.
+		qs.Cores, qs.Edges, cancelled = enum.CountStop(ecs, es, stop)
+	} else {
+		_, cancelled = enum.EnumerateStop(sink.g, ecs, sink, es, stop)
+	}
 	qs.EnumTime = time.Since(began)
 	if cancelled {
 		return ctx.Err()

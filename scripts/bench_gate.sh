@@ -30,7 +30,10 @@ tol=${BENCH_GATE_TOLERANCE:-30}
 #
 # The enumerator's first-core cases guard its lazy window activation,
 # which keeps a point query O(edges in range + start times swept)
-# instead of O(|ECS|).
+# instead of O(|ECS|). The count cases guard the aggregate count of an
+# unlimited Count, O(m + |ECS| log tlen + tlen) instead of O(|R|); at a
+# few ms per CM count they run on a line of their own with fewer
+# iterations.
 raw=$(
   go test -run=NONE -bench='BenchmarkBuildScratchReuse$' -benchtime=3x -benchmem ./internal/vct/
   go test -run=NONE -bench='BenchmarkAppendOneByOne$' -benchtime=20000x -benchmem ./internal/tgraph/
@@ -44,6 +47,7 @@ raw=$(
   go test -run=NONE -bench='BenchmarkPHCPartialRangePatch$' -benchtime=3x -benchmem .
   go test -run=NONE -bench='BenchmarkShardedScatterGather$' -benchtime=20x -benchmem .
   go test -run=NONE -bench='BenchmarkEnumerate$/-first$' -benchtime=10000x -benchmem ./internal/enum/
+  go test -run=NONE -bench='BenchmarkEnumerate$/-count$' -benchtime=20x -benchmem ./internal/enum/
 )
 echo "$raw"
 

@@ -201,7 +201,9 @@ type QueryStats struct {
 
 	// CoreTime is the wall time of the CoreTime phase (VCT + ECS
 	// construction, Algorithm 2); EnumTime the wall time of the
-	// enumeration phase. For OTCD everything is EnumTime. A query served
+	// enumeration phase, which for an unlimited Enum Count is the
+	// aggregate count over the skyline rather than the walk (see
+	// Request.Count). For OTCD everything is EnumTime. A query served
 	// from the serving cache reports CoreTime zero — the phase was paid
 	// by whichever execution built the entry.
 	CoreTime time.Duration
