@@ -222,7 +222,10 @@ func (b *builder) expire(s tgraph.TS) {
 
 // record logs the vertices whose core time changed in the transition from
 // start time s and updates the core times of their alive incident edges
-// (Algorithm 2 lines 6-11).
+// (Algorithm 2 lines 6-11). Only edges timestamped before u's new core time
+// can move: for t >= CT(u), max(CT(u), CT(v), t) = max(CT(v), t) (Lemma 1),
+// which was the edge's core time already unless CT(v) moved too, and then
+// v's own scan covers it. So u's scan stops at min(CT(u), w.End+1).
 func (b *builder) record(s tgraph.TS) {
 	g := b.g
 	for _, u := range b.changed {
@@ -239,10 +242,11 @@ func (b *builder) record(s tgraph.TS) {
 			j++
 		}
 		b.incPtr[u] = j
+		bound := min(b.ct[u], b.w.End+1)
 		for ; int(j) < len(inc); j++ {
 			e := inc[j]
 			te := g.Edge(e)
-			if te.T > b.w.End {
+			if te.T >= bound {
 				break
 			}
 			nv := maxTS3(b.ct[te.U], b.ct[te.V], te.T)
@@ -277,7 +281,8 @@ func (b *builder) settle(track bool) {
 		}
 		u := tgraph.VID(b.q.Pop())
 		b.inQ[u] = false
-		nv := b.eval(u)
+		nv, sup := b.eval(u)
+		b.sup[u] = sup
 		if nv <= b.ct[u] {
 			continue
 		}
@@ -310,12 +315,25 @@ func (b *builder) raise(u tgraph.VID, nv tgraph.TS) {
 	}
 }
 
-// wake queues u when one contribution to its F(CT) rises from `from` to
-// `to` across ct[u]. No other move can unsettle u: a contribution above
-// ct[u] is not among the k smallest, and moving one that stays <= ct[u]
-// cannot lift the k-th smallest above ct[u].
+// wake handles one contribution to u's F(CT) rising from `from` to `to`.
+// Only a rise across ct[u] can unsettle u: a contribution above ct[u] is
+// not among the k smallest, and moving one that stays <= ct[u] cannot lift
+// the k-th smallest above ct[u].
 func (b *builder) wake(u tgraph.VID, from, to tgraph.TS) {
 	if c := b.ct[u]; from <= c && c < to {
+		b.dropSupport(u)
+	}
+}
+
+// dropSupport takes one crossed contribution out of u's support and queues
+// u once fewer than k remain: until then F(CT)(u) <= ct[u] still holds. It
+// stays out of line so that wake, which runs for every neighbour of a
+// raised vertex, inlines its crossing test.
+//
+//go:noinline
+func (b *builder) dropSupport(u tgraph.VID) {
+	b.sup[u]--
+	if int(b.sup[u]) < b.k {
 		b.push(u)
 	}
 }
@@ -341,17 +359,28 @@ func (b *builder) markChanged(u tgraph.VID) {
 }
 
 // insertKth pushes v into the ascending k-slot selection buffer, keeping
-// only the k smallest values seen so far. Once the buffer is saturated most
-// candidates fail the single buf[k-1] comparison, so F(CT) evaluation costs
-// O(deg + k·shifts) instead of the O(deg·log deg) of a full sort.
+// only the k smallest values seen so far, and counts in b.ties the values
+// outside the buffer that equal its k-th. Once the buffer is saturated
+// most candidates fail the single buf[k-1] comparison, so F(CT) evaluation
+// costs O(deg + k·shifts) instead of the O(deg·log deg) of a full sort.
 func (b *builder) insertKth(v tgraph.TS) {
 	buf := b.buf
 	i := len(buf)
 	if i == b.k {
-		if v >= buf[i-1] {
+		last := buf[i-1]
+		if v >= last {
+			if v == last {
+				b.ties++
+			}
 			return
 		}
 		i--
+		// The evicted k-th stays a tie when the new k-th equals it.
+		if i > 0 && buf[i-1] == last {
+			b.ties++
+		} else {
+			b.ties = 0
+		}
 	} else {
 		buf = append(buf, 0)
 	}
@@ -364,11 +393,12 @@ func (b *builder) insertKth(v tgraph.TS) {
 }
 
 // eval computes F(CT)(u): the k-th smallest max(CT(v), firstTime(u,v)) over
-// u's window neighbours. Core times only rise and first times only
-// advance, so a neighbour with CT = ∞ or an exhausted pair stays unusable
-// for the rest of the sweep: eval swap-removes it from u's list.
-func (b *builder) eval(u tgraph.VID) tgraph.TS {
-	b.buf = b.buf[:0]
+// u's window neighbours, and how many of those contributions are at or
+// below it (see kth). Core times only rise and first times only advance,
+// so a neighbour with CT = ∞ or an exhausted pair stays unusable for the
+// rest of the sweep: eval swap-removes it from u's list.
+func (b *builder) eval(u tgraph.VID) (tgraph.TS, int32) {
+	b.buf, b.ties = b.buf[:0], 0
 	nbrs := b.nbrs[b.nbrOff[u]:b.nbrEnd[u]]
 	for i := 0; i < len(nbrs); {
 		nb := nbrs[i]
@@ -379,27 +409,41 @@ func (b *builder) eval(u tgraph.VID) tgraph.TS {
 			nbrs = nbrs[:last]
 			continue
 		}
-		b.insertKth(max(cv, ft))
 		i++
+		// The common case inline: a contribution at or above a full
+		// buffer's k-th is rejected (a tie when equal) without a call to
+		// insertKth, which counting ties makes too large to inline.
+		c := max(cv, ft)
+		if n := len(b.buf); n == b.k && c >= b.buf[n-1] {
+			if c == b.buf[n-1] {
+				b.ties++
+			}
+			continue
+		}
+		b.insertKth(c)
 	}
 	b.nbrEnd[u] = b.nbrOff[u] + int32(len(nbrs))
+	return b.kth()
+}
+
+// kth reports the selection's k-th smallest value and how many values were
+// at or below it (k plus ties), or (∞, 0) when fewer than k were offered.
+func (b *builder) kth() (tgraph.TS, int32) {
 	if len(b.buf) < b.k {
-		return inf
+		return inf, 0
 	}
-	return b.buf[b.k-1]
+	return b.buf[b.k-1], int32(b.k) + b.ties
 }
 
 // lowerBound is the k-th smallest first time of u's window pairs, a valid
 // lower bound on the core time.
 func (b *builder) lowerBound(u tgraph.VID) tgraph.TS {
-	b.buf = b.buf[:0]
+	b.buf, b.ties = b.buf[:0], 0
 	for _, nb := range b.nbrs[b.nbrOff[u]:b.nbrEnd[u]] {
 		b.insertKth(b.ft[nb.pair])
 	}
-	if len(b.buf) < b.k {
-		return inf
-	}
-	return b.buf[b.k-1]
+	lb, _ := b.kth()
+	return lb
 }
 
 // project builds the window's own adjacency in one pass over its edges

@@ -33,14 +33,26 @@
 // across the whole run. A vertex u can only become unsettled when one of
 // its contributions crosses CT(u): a contribution above CT(u) is not among
 // the k smallest, and one that moves but stays <= CT(u) cannot lift the
-// k-th smallest above it. So an expiring edge requeues an endpoint, and a
-// raise requeues a neighbour, only on such a crossing. Each pop scans u's
-// neighbours in the query window, not its whole history, and drops those
-// that can never contribute again (CT = ∞, or no interaction left in the
-// window). This matches the paper's O(|VCT| · deg_avg) bound, with deg the
-// degree in the window's projection, up to transient intermediate raises
-// during a cascade (pops that do not raise a value stop the propagation
-// immediately).
+// k-th smallest above it. Even a crossing leaves u settled while k
+// contributions remain at or below CT(u), so each vertex carries its
+// support: the count of contributions at or below CT(u). Evaluating u sets
+// it exactly (k plus the ties of the k-th smallest, counted in the same
+// selection pass), and each crossing lowers it by one. Contributions only
+// rise and a raise of CT(u) only adds support, so the count never exceeds
+// the truth, and while it is at least k, F(CT)(u) <= CT(u) still holds. An
+// expiring edge or a raise therefore requeues a vertex only when a
+// crossing drops its support below k, and every requeue it skips is one
+// whose evaluation would not raise. In a plain build the count stays
+// exact, so past the first start time's initial pushes every pop raises a
+// value. Each pop scans u's neighbours in the query window, not its whole
+// history, and drops those that can never contribute again (CT = ∞, or no
+// interaction left in the window). This matches the paper's
+// O(|VCT| · deg_avg) bound, with deg the degree in the window's
+// projection: pops are the |VCT| raises plus the transient intermediate
+// raises of a cascade. The patcher pushes the vertices it unpins or
+// tightens directly, and never evaluates the vertices it pins: their
+// support keeps the zero each build starts from, so their first crossing
+// once unpinned requeues them.
 //
 // # Edge skylines (Algorithm 2)
 //
@@ -51,11 +63,18 @@
 // emitted windows per edge have strictly increasing starts and ends: they
 // are exactly the edge's core-window skyline (Definition 5).
 //
+// After a transition, only the incident edges of vertices whose core time
+// rose can change, and of those only the ones with s < t < CT(u): for
+// t >= CT(u), Lemma 1 gives max(CT(u), CT(v), t) = max(CT(v), t), which was
+// already the edge's value unless CT(v) rose too, and then v's own scan
+// covers the edge. So the update of a raised vertex scans its alive
+// incident edges only up to min(CT(u), Te+1).
+//
 // # Scratch-pool design
 //
-// The builder's entire working state — core-time and record vectors, the
-// window projection, the worklist with its membership bits, the k-slot
-// selection buffer and both record arenas — lives in a Scratch, a
+// The builder's entire working state — core-time, support and record
+// vectors, the window projection, the worklist with its membership bits,
+// the k-slot selection buffer and both record arenas — lives in a Scratch, a
 // size-adaptive bundle cycled through a sync.Pool. Build borrows a pooled
 // Scratch and copies its outputs; BuildScratch runs on a caller-owned
 // Scratch and returns Index/ECS views aliasing its arenas, making a warm

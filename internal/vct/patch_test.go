@@ -207,11 +207,14 @@ func TestPatchCleanWindowMoves(t *testing.T) {
 // TestPatchPartialRange extends query windows backwards past the cached
 // range start — the case that used to force a full rebuild — and requires
 // the partial-range patch to reproduce the scratch build exactly, both
-// with and without appended dirty suffixes.
+// with and without appended dirty suffixes. Before each patch the shared
+// Scratch serves a dense build, so the vertices the patch pins meet the
+// working state (support counts included) that another build left behind.
 func TestPatchPartialRange(t *testing.T) {
 	var scratch vct.Scratch
+	dense := denseGraph(rand.New(rand.NewSource(7)), 40, 3, 6)
 	patchedRuns := 0
-	for seed := int64(200); seed < 230; seed++ {
+	for seed := int64(200); seed < 400; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		prefix, suffix := randomStream(r)
 		if len(prefix) == 0 {
@@ -255,6 +258,9 @@ func TestPatchPartialRange(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if _, _, err := vct.BuildScratch(dense, k, dense.FullWindow(), &scratch); err != nil {
+				t.Fatal(err)
+			}
 			gotIx, gotEcs, patched, err := vct.PatchScratch(g, k, w, cached, dirtyFrom, &scratch)
 			if err != nil {
 				t.Fatalf("seed %d w %v: %v", seed, w, err)
@@ -271,6 +277,24 @@ func TestPatchPartialRange(t *testing.T) {
 	if patchedRuns == 0 {
 		t.Fatal("no run exercised the partial-range patched path; the test is vacuous")
 	}
+}
+
+// denseGraph links every pair of n vertices `times` times, at random
+// times in [1, tmax].
+func denseGraph(r *rand.Rand, n, times, tmax int) *tgraph.Graph {
+	b := tgraph.Builder{KeepDuplicates: true}
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			for i := 0; i < times; i++ {
+				b.Add(int64(u), int64(v), int64(1+r.Intn(tmax)))
+			}
+		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		panic(err)
+	}
+	return g
 }
 
 // TestPatchFallsBack covers the conditions under which the cache is

@@ -39,8 +39,16 @@ type Scratch struct {
 	q       ds.Queue
 	inQ     []bool
 	buf     []tgraph.TS  // k-slot selection buffer of eval/lowerBound
+	ties    int32        // values outside buf equal to its k-th (see insertKth)
 	changed []tgraph.VID // vertices raised during the current transition
 	chMark  []bool
+
+	// sup is per vertex a lower bound on its support, the number of
+	// contributions at or below its core time: exact after each eval,
+	// lowered by one on each crossing (see dropSupport). prepare zeroes
+	// it, so a vertex this build never evaluated (a patch's pinned
+	// vertices) is queued on its first crossing.
+	sup []int32
 
 	vctRecs []vctRec
 	ecsRecs []ecsRec
@@ -74,7 +82,8 @@ func GetScratch() *Scratch { return scratchPool.Get().(*Scratch) }
 func PutScratch(s *Scratch) { scratchPool.Put(s) }
 
 // prepare sizes the scratch for one build. Buffers that the build fully
-// overwrites are only re-lengthed; the worklist state is cleared.
+// overwrites are only re-lengthed; the worklist state and the support
+// counts are cleared.
 func (s *Scratch) prepare(g *tgraph.Graph, nEdges int) {
 	n := g.NumVertices()
 	s.ct = ds.Grow(s.ct, n)
@@ -89,6 +98,7 @@ func (s *Scratch) prepare(g *tgraph.Graph, nEdges int) {
 	s.ect = ds.Grow(s.ect, nEdges)
 	s.inQ = ds.GrowZero(s.inQ, n)
 	s.chMark = ds.GrowZero(s.chMark, n)
+	s.sup = ds.GrowZero(s.sup, n)
 	s.q.Reset()
 	s.frozen = s.frozen[:0]
 	s.buf = s.buf[:0]
