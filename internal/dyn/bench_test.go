@@ -90,7 +90,7 @@ func BenchmarkAppendVsRebuild(b *testing.B) {
 
 // BenchmarkPatchVsBuild isolates the CoreTime-table maintenance cost from
 // graph ingestion: same 1% append, but only the index refresh is timed,
-// against a from-scratch BuildScratch over the same window.
+// against a from-scratch build (dyn.New) over the same window.
 func BenchmarkPatchVsBuild(b *testing.B) {
 	const k = 8
 	base, tail := benchStream(b, 59835)

@@ -93,12 +93,13 @@ func New(g *tgraph.Graph, k int, w tgraph.Window) (*Index, error) {
 	}
 	d := &Index{g: g, k: k}
 	began := time.Now()
-	s := new(vct.Scratch)
-	ix, ecs, err := vct.BuildScratch(g, k, w, s)
+	// The first tables are built on a pooled Scratch and copied out, so
+	// the index holds no arena until a refresh takes one from d.spare.
+	ix, ecs, err := vct.Build(g, k, w)
 	if err != nil {
 		return nil, err
 	}
-	d.publish(&View{G: g, Ix: ix, Ecs: ecs, W: w, Seq: g.MutSeq(), seqTMax: g.TMax(), s: s})
+	d.publish(&View{G: g, Ix: ix, Ecs: ecs, W: w, Seq: g.MutSeq(), seqTMax: g.TMax()})
 	d.stats.Rebuilds++
 	d.stats.RebuildTime += time.Since(began)
 	return d, nil
@@ -111,7 +112,7 @@ func (d *Index) SetCache(c *qcache.Cache) { d.cache = c }
 
 func (d *Index) publish(v *View) {
 	d.guard.Publish(v, func(old *View) {
-		if old.s != nil { // cache-adopted views own no arena
+		if old.s != nil { // the first and cache-adopted views own no arena
 			d.mu.Lock()
 			d.free = append(d.free, old.s)
 			d.mu.Unlock()

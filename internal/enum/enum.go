@@ -41,6 +41,10 @@ type Scratch struct {
 
 	edgeBuf []tgraph.EID
 	tree    []endAgg // CountStop's segment tree over end offsets
+
+	// half runs the later sweep of a split count (see countSplit), kept
+	// with this Scratch as vct.Scratch keeps its own.
+	half *helper
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}

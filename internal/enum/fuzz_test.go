@@ -12,8 +12,9 @@ import (
 // FuzzEnumerateMatchesOracle decodes the fuzz input as a temporal edge
 // list, a k and a query window, and verifies Enum against the brute-force
 // oracle on that window. CountStop's cores and |R| must equal both the
-// oracle's totals and the walk's CountSink, and a stop hook that fires at
-// once must cancel it. It also pins the order contract early stopping
+// oracle's totals and the walk's CountSink, so must a count split at a
+// start time the first byte picks, and a stop hook that fires at once
+// must cancel it. It also pins the order contract early stopping
 // relies on: a LimitSink stopped after n cores emits exactly a prefix of
 // the unbounded raw stream, cores and edge order alike. Run the seeds
 // with the regular test suite or explore with
@@ -82,6 +83,13 @@ func FuzzEnumerateMatchesOracle(f *testing.F) {
 		if cancelled || cores != int64(len(want)) || edges != wantR || cores != walk.Cores || edges != walk.EdgeTotal {
 			t.Fatalf("k=%d %v: CountStop = (%d cores, |R| %d, cancelled %v); oracle (%d, %d), walk (%d, %d)",
 				k, w, cores, edges, cancelled, len(want), wantR, walk.Cores, walk.EdgeTotal)
+		}
+		if w.End > w.Start {
+			mid := w.Start + 1 + tgraph.TS(data[0])%(w.End-w.Start)
+			if c, e, cancelled := enum.CountSplit(ecs, s, nil, mid); cancelled || c != cores || e != edges {
+				t.Fatalf("k=%d %v: count split at %d = (%d cores, |R| %d, cancelled %v), want (%d, %d)",
+					k, w, mid, c, e, cancelled, cores, edges)
+			}
 		}
 		if _, _, cancelled := enum.CountStop(ecs, s, func() bool { return true }); !cancelled {
 			t.Fatalf("k=%d %v: CountStop ignored a stop hook that fires at once", k, w)

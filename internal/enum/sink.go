@@ -6,7 +6,9 @@
 // repeated enumerations allocate nothing once warm. CountStop, an
 // extension beyond the paper, returns the number of cores and |R| from
 // per-start-time aggregates over the same calendar without emitting any
-// core, in time independent of |R|.
+// core, in time independent of |R|. Those aggregates depend only on the
+// windows live at each start time, so at GOMAXPROCS >= 2 CountStop sums
+// two sweeps of a large start range, the later one on a helper goroutine.
 package enum
 
 import (

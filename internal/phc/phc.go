@@ -89,15 +89,20 @@ func BuildStop(g *tgraph.Graph, w tgraph.Window, stop func() bool) (*Index, erro
 	}
 	_, kmax := kcore.Decompose(g, w)
 	ix := &Index{Range: w, KMax: kmax, Fp: FingerprintOf(g), perK: make([]*vct.Index, kmax)}
+	// One Scratch serves every k slice, and each arena-backed slice is
+	// cloned into self-owned arrays, so a pool miss regrows the buffers
+	// (a split build's helper's among them) once per index, not per slice.
+	s := vct.GetScratch()
+	defer vct.PutScratch(s)
 	for k := 1; k <= kmax; k++ {
 		if stop != nil && stop() {
 			return nil, vct.ErrStopped
 		}
-		sub, _, err := vct.BuildStop(g, k, w, stop)
+		sub, _, err := vct.BuildScratchStop(g, k, w, s, stop)
 		if err != nil {
 			return nil, err
 		}
-		ix.perK[k-1] = sub
+		ix.perK[k-1] = sub.Clone()
 	}
 	return ix, nil
 }
@@ -185,12 +190,12 @@ func (ix *Index) PatchStop(g *tgraph.Graph, w tgraph.Window, dirtyFrom tgraph.TS
 			continue
 		}
 		// A k tier the old state never reached: nothing cached to patch
-		// from, build the new slice outright (self-owned already).
-		sub, _, err := vct.BuildStop(g, k, w, stop)
+		// from, build the new slice outright on the same scratch.
+		sub, _, err := vct.BuildScratchStop(g, k, w, s, stop)
 		if err != nil {
 			return nil, false, err
 		}
-		out.perK[k-1] = sub
+		out.perK[k-1] = sub.Clone()
 	}
 	return out, true, nil
 }

@@ -24,14 +24,19 @@ var ErrStopped = errors.New("vct: build stopped")
 // freshly allocated outputs that the caller may retain indefinitely. For
 // the repeated-query hot path that drops the outputs after enumerating,
 // BuildScratch avoids even the output allocations.
+//
+// At GOMAXPROCS >= 2, a build of a large window runs the later part of
+// its start times on a helper goroutine and stitches the two parts into
+// the same outputs ("Start-time split" in the package documentation).
 func Build(g *tgraph.Graph, k int, w tgraph.Window) (*Index, *ECS, error) {
 	return BuildStop(g, k, w, nil)
 }
 
 // BuildStop is Build with a cancellation hook (see BuildScratchStop for the
-// polling contract): the outputs are freshly allocated and self-owned, so
-// callers that retain tables indefinitely — the serving cache — get memory
-// no scratch arena can later reclaim.
+// polling contract, which includes two goroutines polling stop at once):
+// the outputs are freshly allocated and self-owned, so callers that retain
+// tables indefinitely — the serving cache — get memory no scratch arena can
+// later reclaim.
 //
 // tkc:cancellable
 func BuildStop(g *tgraph.Graph, k int, w tgraph.Window, stop func() bool) (*Index, *ECS, error) {
@@ -40,9 +45,7 @@ func BuildStop(g *tgraph.Graph, k int, w tgraph.Window, stop func() bool) (*Inde
 	}
 	s := GetScratch()
 	defer PutScratch(s)
-	b := newBuilder(g, k, w, s)
-	b.stop = stop
-	b.run()
+	b := buildSplit(g, k, w, s, stop, splitAt(g, w))
 	if b.stopped {
 		return nil, nil, ErrStopped
 	}
@@ -53,7 +56,8 @@ func BuildStop(g *tgraph.Graph, k int, w tgraph.Window, stop func() bool) (*Inde
 // and ECS are backed by s's arenas and stay valid only until the next build
 // with s (or until s is returned to the pool). Between builds with separate
 // Scratch values there is no shared state, so concurrent use is safe as
-// long as each goroutine brings its own Scratch.
+// long as each goroutine brings its own Scratch. A warm s allocates
+// nothing, split or not.
 func BuildScratch(g *tgraph.Graph, k int, w tgraph.Window, s *Scratch) (*Index, *ECS, error) {
 	return BuildScratchStop(g, k, w, s, nil)
 }
@@ -65,20 +69,18 @@ func BuildScratch(g *tgraph.Graph, k int, w tgraph.Window, s *Scratch) (*Index, 
 // stays reusable) and returns ErrStopped, so a runaway CoreTime phase
 // cancels within one stride of work.
 //
+// Both parts of a split build poll stop, each with these strides, so two
+// goroutines may call it at once: it must be safe for concurrent use, as
+// a context's Done check is. Both parts end before the build returns, on
+// every path, and a panic in the helper's part (a panicking stop hook, for
+// one) is raised again on the caller's goroutine.
+//
 // tkc:cancellable
 func BuildScratchStop(g *tgraph.Graph, k int, w tgraph.Window, s *Scratch, stop func() bool) (*Index, *ECS, error) {
 	if err := validate(g, k, w); err != nil {
 		return nil, nil, err
 	}
-	b := newBuilder(g, k, w, s)
-	b.stop = stop
-	b.run()
-	if b.stopped {
-		return nil, nil, ErrStopped
-	}
-	b.indexInto(&s.ix)
-	b.skylinesInto(&s.ecs)
-	return &s.ix, &s.ecs, nil
+	return buildScratch(g, k, w, s, stop, splitAt(g, w))
 }
 
 const inf = tgraph.InfTime
@@ -130,7 +132,12 @@ func newBuilder(g *tgraph.Graph, k int, w tgraph.Window, s *Scratch) builder {
 	return builder{g: g, k: k, w: w, lo: lo, hi: hi, Scratch: s}
 }
 
-func (b *builder) run() {
+// run sweeps the start times [w.Start, last] of b's window: the fixed
+// point at w.Start, then one transition per later start time. A sweep to
+// w.End also flushes the windows of the edges alive at w.End; a shorter
+// one (the first part of a split build) leaves the records of its last
+// start time to the stitch.
+func (b *builder) run(last tgraph.TS) {
 	g, w := b.g, b.w
 	b.project()
 
@@ -158,11 +165,14 @@ func (b *builder) run() {
 	}
 
 	// Advance the start time.
-	for s := w.Start; s < w.End; s++ {
+	for s := w.Start; s < last; s++ {
 		b.transition(s)
 		if b.stopped {
 			return
 		}
+	}
+	if last < w.End {
+		return
 	}
 
 	// Flush the final windows of edges alive at the last start time (their

@@ -70,6 +70,48 @@
 // covers the edge. So the update of a raised vertex scans its alive
 // incident edges only up to min(CT(u), Te+1).
 //
+// # Start-time split
+//
+// The core times at start ts are the least fixed point over [ts, Te]
+// alone (the first section), so the build of [mid, Te] computes exactly
+// the serial build's core times from mid on, and edges older than mid
+// never enter it. A build may therefore split at a start time mid,
+// Ts < mid <= Te: the caller's goroutine sweeps the starts [Ts, mid−1]
+// over the whole window, and a helper goroutine runs the ordinary build
+// of [mid, Te] on a second Scratch kept with the caller's. A stitch then
+// appends the helper's records after the caller's, emitting what the
+// serial build's transition from mid−1 to mid would have:
+//
+//   - an index entry {mid, CT_mid(u)} only where CT_mid(u) differs from
+//     the caller's CT_{mid−1}(u), taken from the helper's first records,
+//     and {mid, ∞} where a finite value becomes ∞ (the helper records no
+//     infinite value at its first start);
+//   - the window [mid−1, ect] of each edge alive at mid−1 with a finite
+//     edge core time ect that expires at mid−1 or whose core time, by
+//     Lemma 1 from the core times at mid, rises at mid;
+//   - the helper's skyline windows and later index entries unchanged.
+//
+// Per vertex and per edge the records stay in ascending start order, which
+// is all the output assembly relies on, so the Index and ECS are the
+// serial build's byte for byte.
+//
+// A build splits when GOMAXPROCS >= 2 and its window holds at least
+// minSplitEdges edges, whatever else the process runs, so its two parts
+// then share the CPUs with other work. That costs nothing measurable: on
+// a batch whose two workers already hold both CPUs of a 2-CPU host
+// (BenchmarkQueryBatch/parallel=2), splitting every such build read
+// faster than splitting only beside an idle CPU (a process-wide count of
+// running parts) in 6 of 12 and 8 of 18 alternating rounds, with medians
+// 1-3% apart, inside either's spread. The split point is the time of
+// the edge at 2/5 of the window's edges: the caller's part sweeps from
+// Ts over the whole window, and the helper settles its first fixed point
+// from scratch, so the parts take equally long there on the paper-scale
+// CM replica's Figure 6 windows (k = 9: 6.3 and 5.9 ms at 2/5 of the
+// edges, 7.6 and 5.0 ms at 1/2). On that replica at k = 9 a split build
+// broke even at 500-750 window edges (0.91x of serial at 1,000, 0.65x at
+// 3,000; at k = 3 it broke even below 500). The patcher stays serial;
+// its fallback to a full build may split.
+//
 // # Scratch-pool design
 //
 // The builder's entire working state — core-time, support and record
@@ -78,11 +120,12 @@
 // size-adaptive bundle cycled through a sync.Pool. Build borrows a pooled
 // Scratch and copies its outputs; BuildScratch runs on a caller-owned
 // Scratch and returns Index/ECS views aliasing its arenas, making a warm
-// repeated build allocation-free. Per-query set-up is one pass over the
-// window's edges that gives every pair interacting in the window its first
-// time and time-list position, and every vertex a window-local neighbour
-// list: O(edges in window + |V|), with a per-pair lookup that is a sparse
-// set and so is never cleared. F(CT) evaluation selects the k-th smallest
+// repeated build allocation-free, split or not: the helper's Scratch and
+// its bound start function stay with the caller's. Per-query set-up is
+// one pass over the window's edges that gives every pair interacting in
+// the window its first time and time-list position, and every vertex a
+// window-local neighbour list: O(edges in window + |V|), with a per-pair
+// lookup that is a sparse set and so is never cleared. F(CT) evaluation selects the k-th smallest
 // contribution with a bounded insertion buffer instead of sorting whole
 // neighbourhoods. Workers that run queries concurrently each hold their
 // own Scratch (see core.QueryBatch).

@@ -15,7 +15,9 @@ import (
 // kb's low two bits pick k; its upper six bits trim the graph's full
 // window (three bits off each end), so the builder's window projection
 // differs from the whole-history adjacency. The zero trim of the seeds is
-// the full window.
+// the full window. The first byte picks a start time to split the build
+// at, and the split build must match the serial one entry for entry and
+// window for window.
 func FuzzCoreTimes(f *testing.F) {
 	f.Add([]byte{1, 2, 1, 2, 3, 2, 1, 3, 3}, byte(2))
 	f.Add([]byte{0, 1, 5, 1, 2, 5, 0, 2, 5, 2, 3, 6}, byte(2))
@@ -45,9 +47,18 @@ func FuzzCoreTimes(f *testing.F) {
 		if w.Start > w.End {
 			w = full
 		}
-		ix, _, err := vct.Build(g, k, w)
+		ix, ecs, err := vct.Build(g, k, w)
 		if err != nil {
 			t.Fatalf("Build: %v", err)
+		}
+		if w.End > w.Start {
+			mid := w.Start + 1 + tgraph.TS(data[0])%(w.End-w.Start)
+			six, secs, err := vct.BuildSplit(g, k, w, &vct.Scratch{}, nil, mid)
+			if err != nil {
+				t.Fatalf("BuildSplit at %d: %v", mid, err)
+			}
+			sameIndex(t, g, ix, six)
+			sameECS(t, ecs, secs)
 		}
 		p := kcore.NewPeeler(g)
 		for u := tgraph.VID(0); u < tgraph.VID(g.NumVertices()); u++ {

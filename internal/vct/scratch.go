@@ -66,6 +66,13 @@ type Scratch struct {
 	// callers of the copying Build.
 	ix  Index
 	ecs ECS
+
+	// half runs the later part of a split build (see builder.split). It
+	// stays with this Scratch, in the pool too, so a warm Scratch makes
+	// warm split builds: a helper drawn from the pool on each split would
+	// miss whenever the caller had moved to another P since its last Put
+	// (sync.Pool keeps a P's last Put private to that P).
+	half *helper
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}

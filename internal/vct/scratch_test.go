@@ -126,7 +126,8 @@ func TestBuildScratchInvalid(t *testing.T) {
 }
 
 // BenchmarkBuildScratchReuse is the zero-alloc contract of the engine: a
-// warm Scratch must make repeated CoreTime builds allocation-free. The
+// warm Scratch must make repeated CoreTime builds allocation-free, split
+// or not. The
 // full-window cases stress the fixed point; CM-fig6 is one query at the
 // shape of the paper's Figure 6 (the paper-scale CM replica, k = 30% kmax,
 // a range of 10% of tmax), where the window's projection is a small part
