@@ -5,6 +5,7 @@
 package temporalkcore_test
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -32,8 +33,9 @@ func apiGraph(b *testing.B, code string, edges int) (*tkc.Graph, int) {
 }
 
 // BenchmarkCoresFuncRepeat measures the full repeated-query hot path —
-// CoreTime phase plus enumeration — through Graph.CountCores.
+// CoreTime phase plus enumeration — through an unlimited Count.
 func BenchmarkCoresFuncRepeat(b *testing.B) {
+	ctx := context.Background()
 	g, k := apiGraph(b, "CM", 6000)
 	lo, hi := g.TimeSpan()
 	span := hi - lo
@@ -41,7 +43,7 @@ func BenchmarkCoresFuncRepeat(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := g.CountCores(k, start, end); err != nil {
+		if _, err := g.Query(k).Window(start, end).Count(ctx); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -57,11 +59,14 @@ func BenchmarkPreparedCoresFunc(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.CoresFunc(func(tkc.Core) bool { return true }); err != nil {
-			b.Fatal(err)
+		for _, err := range p.Query().Seq(ctx) {
+			if err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }
@@ -72,16 +77,17 @@ func BenchmarkQueryBatch(b *testing.B) {
 	g, k := apiGraph(b, "CM", 6000)
 	lo, hi := g.TimeSpan()
 	span := hi - lo
-	var specs []tkc.QuerySpec
+	var reqs []*tkc.Request
 	for i := 0; i < 16; i++ {
 		s := lo + span*int64(i)/32
-		specs = append(specs, tkc.QuerySpec{K: 2 + (k-2)*(i%4)/3, Start: s, End: s + span/4})
+		reqs = append(reqs, g.Query(2+(k-2)*(i%4)/3).Window(s, s+span/4))
 	}
+	ctx := context.Background()
 	for _, par := range []int{1, runtime.NumCPU()} {
 		b.Run(fmt.Sprintf("parallel=%d", par), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				for _, r := range g.CountBatch(specs, par) {
+				for _, r := range g.RunBatch(ctx, reqs, tkc.BatchOptions{Parallelism: par, CountOnly: true}) {
 					if r.Err != nil {
 						b.Fatal(r.Err)
 					}

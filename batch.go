@@ -8,9 +8,9 @@ import (
 	"sync/atomic"
 )
 
-// QuerySpec is one query of a batch: the core parameter k and a raw
-// (inclusive) time range, optionally pinned to a specific algorithm (the
-// zero value is the paper's optimal Enum).
+// QuerySpec records one batched request's parameters in its BatchResult:
+// the core parameter k, the raw (inclusive) time range and the algorithm
+// (the zero value is the paper's optimal Enum).
 type QuerySpec struct {
 	K          int
 	Start, End int64
@@ -66,7 +66,7 @@ type BatchResult struct {
 // request that did not finish reports Cancelled with Err = ctx.Err(), so
 // callers always get the partial work that was already paid for.
 //
-// tkc:allow-background: tolerates nil ctx from v1 callers
+// tkc:allow-background: a nil ctx means context.Background
 func (g *Graph) RunBatch(ctx context.Context, reqs []*Request, opts ...BatchOptions) []BatchResult {
 	opt := BatchOptions{}
 	if len(opts) > 0 {
@@ -158,38 +158,4 @@ func (br *BatchResult) run(ctx context.Context, r *Request, countOnly bool) {
 			br.Cores, br.Stats = nil, QueryStats{}
 		}
 	}
-}
-
-// QueryBatch executes many (k, time-range) query specs concurrently; see
-// RunBatch for the execution model.
-//
-// Deprecated: use the v2 builder with RunBatch, which adds context
-// cancellation and per-request projections/limits:
-//
-//	g.RunBatch(ctx, []*temporalkcore.Request{
-//	    g.Query(2).Window(s, e),
-//	    g.Query(3).Window(s, e).Project(temporalkcore.ProjectCount),
-//	}, opts)
-//
-// tkc:allow-background: ctx-less convenience wrapper; RunBatch takes ctx
-func (g *Graph) QueryBatch(specs []QuerySpec, opts ...BatchOptions) []BatchResult {
-	reqs := make([]*Request, len(specs))
-	for i, sp := range specs {
-		reqs[i] = g.Query(sp.K).Window(sp.Start, sp.End).Algorithm(sp.Algorithm)
-	}
-	res := g.RunBatch(context.Background(), reqs, opts...)
-	for i, sp := range specs {
-		res[i].Spec = sp // preserve the caller's spec verbatim
-	}
-	return res
-}
-
-// CountBatch is QueryBatch with BatchOptions.CountOnly set: it returns the
-// per-query statistics (core counts, |R|, index sizes, phase timings)
-// without materialising any edges.
-//
-// Deprecated: use RunBatch with BatchOptions.CountOnly or per-request
-// Project(ProjectCount).
-func (g *Graph) CountBatch(specs []QuerySpec, parallelism int) []BatchResult {
-	return g.QueryBatch(specs, BatchOptions{Parallelism: parallelism, CountOnly: true})
 }

@@ -1,6 +1,7 @@
 package temporalkcore_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -41,6 +42,15 @@ func batchSpecs(g *tkc.Graph) []tkc.QuerySpec {
 	return specs
 }
 
+// batchReqs builds the one-shot request of each spec, for RunBatch.
+func batchReqs(g *tkc.Graph, specs []tkc.QuerySpec) []*tkc.Request {
+	reqs := make([]*tkc.Request, len(specs))
+	for i, sp := range specs {
+		reqs[i] = g.Query(sp.K).Window(sp.Start, sp.End).Algorithm(sp.Algorithm)
+	}
+	return reqs
+}
+
 // TestQueryBatchMatchesSequential checks that a parallel batch returns,
 // query for query, exactly what the sequential API returns — for every
 // parallelism level and in original spec order.
@@ -49,11 +59,12 @@ func TestQueryBatchMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx := context.Background()
 	specs := batchSpecs(g)
 
 	want := make([][]tkc.Core, len(specs))
 	for i, sp := range specs {
-		cores, err := g.Cores(sp.K, sp.Start, sp.End)
+		cores, err := g.Query(sp.K).Window(sp.Start, sp.End).Collect(ctx)
 		if err != nil {
 			t.Fatalf("sequential spec %d: %v", i, err)
 		}
@@ -62,7 +73,7 @@ func TestQueryBatchMatchesSequential(t *testing.T) {
 
 	for _, par := range []int{1, 2, 3, runtime.NumCPU(), -1} {
 		t.Run(fmt.Sprintf("parallel=%d", par), func(t *testing.T) {
-			res := g.QueryBatch(specs, tkc.BatchOptions{Parallelism: par})
+			res := g.RunBatch(ctx, batchReqs(g, specs), tkc.BatchOptions{Parallelism: par})
 			if len(res) != len(specs) {
 				t.Fatalf("got %d results, want %d", len(res), len(specs))
 			}
@@ -90,9 +101,10 @@ func TestQueryBatchCountOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx := context.Background()
 	specs := batchSpecs(g)
-	full := g.QueryBatch(specs, tkc.BatchOptions{Parallelism: -1})
-	counted := g.CountBatch(specs, -1)
+	full := g.RunBatch(ctx, batchReqs(g, specs), tkc.BatchOptions{Parallelism: -1})
+	counted := g.RunBatch(ctx, batchReqs(g, specs), tkc.BatchOptions{Parallelism: -1, CountOnly: true})
 	for i := range specs {
 		if counted[i].Err != nil {
 			t.Fatalf("spec %d: %v", i, counted[i].Err)
@@ -120,7 +132,8 @@ func TestQueryBatchBadSpecs(t *testing.T) {
 		{K: 2, Start: hi + 100, End: hi + 200}, // no timestamps
 		{K: 2, Start: lo, End: hi},             // fine
 	}
-	res := g.QueryBatch(specs)
+	ctx := context.Background()
+	res := g.RunBatch(ctx, batchReqs(g, specs))
 	if res[0].Err == nil {
 		t.Error("k=0 spec succeeded")
 	}
@@ -138,7 +151,7 @@ func TestQueryBatchBadSpecs(t *testing.T) {
 	if !reflect.DeepEqual(res[1].Cores, res[3].Cores) {
 		t.Error("identical specs returned different cores")
 	}
-	if got := g.QueryBatch(nil); len(got) != 0 {
+	if got := g.RunBatch(ctx, nil); len(got) != 0 {
 		t.Errorf("empty batch returned %d results", len(got))
 	}
 }
@@ -153,18 +166,19 @@ func TestQueryBatchTimings(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.SetCacheOptions(tkc.CacheOptions{Disable: true})
+	ctx := context.Background()
 	lo, hi := g.TimeSpan()
-	qs, err := g.CountCores(2, lo, hi)
+	qs, err := g.Query(2).Window(lo, hi).Count(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if qs.CoreTime <= 0 {
-		t.Errorf("CoresFunc reported CoreTime %v, want > 0", qs.CoreTime)
+		t.Errorf("Count reported CoreTime %v, want > 0", qs.CoreTime)
 	}
 	if qs.CacheHit {
 		t.Error("cache-disabled query reported CacheHit")
 	}
-	res := g.CountBatch([]tkc.QuerySpec{{K: 2, Start: lo, End: hi}}, 1)
+	res := g.RunBatch(ctx, []*tkc.Request{g.Query(2).Window(lo, hi)}, tkc.BatchOptions{Parallelism: 1, CountOnly: true})
 	if res[0].Err != nil {
 		t.Fatal(res[0].Err)
 	}
@@ -176,13 +190,13 @@ func TestQueryBatchTimings(t *testing.T) {
 	// the first execution pays (and reports) the build, the repeat is a
 	// hit with CoreTime zero.
 	g.SetCacheOptions(tkc.CacheOptions{})
-	if qs, err = g.CountCores(2, lo, hi); err != nil {
+	if qs, err = g.Query(2).Window(lo, hi).Count(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if qs.CacheHit || qs.CoreTime <= 0 {
 		t.Errorf("first cached run: CacheHit=%v CoreTime=%v, want miss with CoreTime > 0", qs.CacheHit, qs.CoreTime)
 	}
-	if qs, err = g.CountCores(2, lo, hi); err != nil {
+	if qs, err = g.Query(2).Window(lo, hi).Count(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if !qs.CacheHit || qs.CoreTime != 0 {
@@ -199,15 +213,16 @@ func TestConcurrentBatchAndPrepared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx := context.Background()
 	lo, hi := g.TimeSpan()
 	specs := batchSpecs(g)
-	want := g.QueryBatch(specs, tkc.BatchOptions{Parallelism: 1})
+	want := g.RunBatch(ctx, batchReqs(g, specs), tkc.BatchOptions{Parallelism: 1})
 
 	p, err := g.Prepare(2, lo, hi)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantPrepared, err := p.Count()
+	wantPrepared, err := p.Query().Count(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +236,7 @@ func TestConcurrentBatchAndPrepared(t *testing.T) {
 			for iter := 0; iter < 5; iter++ {
 				switch (w + iter) % 3 {
 				case 0:
-					res := g.QueryBatch(specs, tkc.BatchOptions{Parallelism: 2})
+					res := g.RunBatch(ctx, batchReqs(g, specs), tkc.BatchOptions{Parallelism: 2})
 					for i := range res {
 						if res[i].Err != nil {
 							errs <- fmt.Errorf("batch spec %d: %v", i, res[i].Err)
@@ -233,7 +248,7 @@ func TestConcurrentBatchAndPrepared(t *testing.T) {
 						}
 					}
 				case 1:
-					qs, err := p.Count()
+					qs, err := p.Query().Count(ctx)
 					if err != nil {
 						errs <- err
 						return
@@ -243,7 +258,7 @@ func TestConcurrentBatchAndPrepared(t *testing.T) {
 						return
 					}
 				default:
-					qs, err := g.CountCores(2, lo, hi)
+					qs, err := g.Query(2).Window(lo, hi).Count(ctx)
 					if err != nil {
 						errs <- err
 						return

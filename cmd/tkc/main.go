@@ -21,7 +21,7 @@
 // the number of distinct cores and the total result size are reported; the
 // default prints every core's tightest time interval, vertices and edges.
 // -ks runs one query per listed k over the same range as a parallel batch
-// (Graph.QueryBatch) and prints a per-k summary table.
+// (Graph.RunBatch) and prints a per-k summary table.
 //
 // -follow tails a live edge stream from stdin ("u v t" text or NDJSON
 // {"u":..,"v":..,"t":..} lines, timestamps non-decreasing), appends it to

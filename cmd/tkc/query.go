@@ -201,7 +201,7 @@ func runFollow(graphPath string, k int, span int64, every, readers int, cacheOpt
 	}
 	report := func(appended int, total int) {
 		t0 := time.Now()
-		qs, err := w.CountCores()
+		qs, err := w.Query().Count(context.Background())
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -189,7 +189,7 @@ func runServe(args []string) {
 	close(stopSnap)
 	if sharded != nil {
 		if sharded.Durable() {
-			// Final snapshot (spine only — sealed shard segments are already
+			// Final snapshot (spine only — the shard manifest is already
 			// durable) so the next start recovers without WAL replay.
 			if seq, err := s.Snapshot(); err != nil {
 				log.Printf("final snapshot: %v", err)

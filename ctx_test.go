@@ -61,7 +61,7 @@ func TestCancelPreCancelled(t *testing.T) {
 	if _, _, err := g.Query(2).Snapshot(1).First(ctx); !errors.Is(err, context.Canceled) {
 		t.Errorf("snapshot First = %v, want context.Canceled", err)
 	}
-	h, err := g.BuildHistoricalIndex(lo, hi)
+	h, err := g.HistoricalIndex(context.Background(), lo, hi)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package temporalkcore_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -64,6 +65,7 @@ func diffQueries(g *tkc.Graph, r *rand.Rand) [][2]int64 {
 // straightforward EnumBase and the OTCD baseline must produce identical
 // core sets for identical (k, start, end) queries.
 func TestAlgorithmsAgree(t *testing.T) {
+	ctx := context.Background()
 	if testing.Short() {
 		t.Skip("differential harness is slow")
 	}
@@ -82,7 +84,7 @@ func TestAlgorithmsAgree(t *testing.T) {
 			for _, k := range []int{2, 3} {
 				var ref string
 				for i, a := range algos {
-					cores, err := g.Cores(k, q[0], q[1], tkc.Options{Algorithm: a.algo})
+					cores, err := g.Query(k).Window(q[0], q[1]).Algorithm(a.algo).Collect(ctx)
 					if err != nil {
 						t.Fatalf("seed %d %s k=%d [%d,%d]: %v", seed, a.name, k, q[0], q[1], err)
 					}
@@ -106,6 +108,7 @@ func TestAlgorithmsAgree(t *testing.T) {
 // a random point, building the prefix and appending the suffix must
 // answer every query exactly like a one-shot build.
 func TestAppendEqualsScratchBuild(t *testing.T) {
+	ctx := context.Background()
 	for seed := int64(0); seed < 50; seed++ {
 		full, edges := diffGraph(t, seed+1000)
 		r := rand.New(rand.NewSource(seed * 104729))
@@ -132,11 +135,11 @@ func TestAppendEqualsScratchBuild(t *testing.T) {
 		}
 		for _, q := range diffQueries(full, r) {
 			for _, k := range []int{2, 3} {
-				got, err := appended.Cores(k, q[0], q[1])
+				got, err := appended.Query(k).Window(q[0], q[1]).Collect(ctx)
 				if err != nil {
 					t.Fatalf("seed %d append-path k=%d: %v", seed, k, err)
 				}
-				want, err := full.Cores(k, q[0], q[1])
+				want, err := full.Query(k).Window(q[0], q[1]).Collect(ctx)
 				if err != nil {
 					t.Fatalf("seed %d scratch-path k=%d: %v", seed, k, err)
 				}
@@ -144,11 +147,11 @@ func TestAppendEqualsScratchBuild(t *testing.T) {
 					t.Fatalf("seed %d k=%d [%d,%d]: append-then-query differs from build-from-scratch",
 						seed, k, q[0], q[1])
 				}
-				gq, err := appended.CountCores(k, q[0], q[1])
+				gq, err := appended.Query(k).Window(q[0], q[1]).Count(ctx)
 				if err != nil {
 					t.Fatal(err)
 				}
-				wq, err := full.CountCores(k, q[0], q[1])
+				wq, err := full.Query(k).Window(q[0], q[1]).Count(ctx)
 				if err != nil {
 					t.Fatal(err)
 				}

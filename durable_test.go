@@ -109,7 +109,7 @@ func TestDurableWarmHistoricalOracle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("HistoricalIndex: %v", err)
 	}
-	coldCT, err := hx.CoreMembers(3, lo, hi)
+	coldCT, err := histVertices(hx, 3, lo, hi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestDurableWarmHistoricalOracle(t *testing.T) {
 	if cs.Hits < 1 || cs.Misses != 0 {
 		t.Fatalf("post-restart historical query was not a warm hit: %+v", cs)
 	}
-	warmCT, err := hx2.CoreMembers(3, lo, hi)
+	warmCT, err := histVertices(hx2, 3, lo, hi)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package temporalkcore
 
 import (
 	"bufio"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -206,15 +205,15 @@ func parseEdgeLine(line string) (Edge, error) {
 //
 // Concurrency: a Watcher separates one writer from many readers. Append
 // (and implicit stale-repair) is writer-side — one goroutine at a time,
-// the same one that appends the graph. The query methods (Query and the
-// deprecated Cores/CoresFunc/CountCores, Window) are the read path: they
-// are safe from any number of goroutines concurrently with the writer, and
-// in steady state they are lock-free — each query pins the current
-// refcounted table view (built against a published graph epoch) with one
-// atomic operation, serves from it even if the writer publishes newer
-// views meanwhile, and releases it when done; a retired view's arena is
-// recycled when its last reader drains. Readers observe batches atomically
-// (a query sees a batch entirely or not at all) with monotone visibility.
+// the same one that appends the graph. Query and Window are the read
+// path: they are safe from any number of goroutines concurrently with
+// the writer, and in steady state they are lock-free — each query pins
+// the current refcounted table view (built against a published graph
+// epoch) with one atomic operation, serves from it even if the writer
+// publishes newer views meanwhile, and releases it when done; a retired
+// view's arena is recycled when its last reader drains. Readers observe
+// batches atomically (a query sees a batch entirely or not at all) with
+// monotone visibility.
 //
 // The one exception to lock-freedom is repairing staleness caused by
 // appends that bypassed the watcher (direct Graph.Append): a reader then
@@ -372,40 +371,6 @@ func (w *Watcher) Window() (start, end int64, err error) {
 	defer release()
 	start, end = v.G.RawWindow(v.W)
 	return start, end, nil
-}
-
-// CoresFunc streams every distinct temporal k-core of the current window
-// to fn; see Graph.CoresFunc. The view is refreshed first if stale.
-//
-// Deprecated: use the v2 builder, which adds context cancellation and
-// projections: for c, err := range w.Query().Seq(ctx).
-//
-// tkc:allow-background: deprecated v1 shim; the v2 builder threads ctx
-func (w *Watcher) CoresFunc(fn func(Core) bool) (QueryStats, error) {
-	return w.Query().run(context.Background(), fn)
-}
-
-// Cores materialises every distinct temporal k-core of the current window.
-//
-// Deprecated: use the v2 builder: w.Query().Collect(ctx).
-//
-// tkc:allow-background: deprecated v1 shim; the v2 builder threads ctx
-func (w *Watcher) Cores() ([]Core, error) {
-	out, err := w.Query().Collect(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// CountCores counts the distinct temporal k-cores of the current window
-// and their total edge size without materialising results.
-//
-// Deprecated: use the v2 builder: w.Query().Count(ctx).
-//
-// tkc:allow-background: deprecated v1 shim; the v2 builder threads ctx
-func (w *Watcher) CountCores() (QueryStats, error) {
-	return w.Query().Count(context.Background())
 }
 
 // Stats returns counters describing how refreshes were served; a healthy

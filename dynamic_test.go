@@ -1,6 +1,7 @@
 package temporalkcore_test
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -12,6 +13,7 @@ import (
 )
 
 func TestGraphAppend(t *testing.T) {
+	ctx := context.Background()
 	g, err := tkc.NewGraph([]tkc.Edge{
 		{U: 1, V: 2, Time: 10}, {U: 2, V: 3, Time: 11}, {U: 1, V: 3, Time: 12},
 	})
@@ -36,11 +38,11 @@ func TestGraphAppend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := g.Cores(2, 10, 13)
+	got, err := g.Query(2).Window(10, 13).Collect(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exp, err := want.Cores(2, 10, 13)
+	exp, err := want.Query(2).Window(10, 13).Collect(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,6 +137,7 @@ func TestAppendReaderFormats(t *testing.T) {
 // and checks every answer against a one-shot query on an equivalent
 // freshly built graph.
 func TestWatcherFollowsStream(t *testing.T) {
+	ctx := context.Background()
 	for seed := int64(0); seed < 5; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		n := 6 + r.Intn(14)
@@ -168,7 +171,7 @@ func TestWatcherFollowsStream(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := w.Cores()
+			got, err := w.Query().Collect(ctx)
 			if err != nil {
 				t.Fatalf("seed %d: watcher cores: %v", seed, err)
 			}
@@ -176,7 +179,7 @@ func TestWatcherFollowsStream(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := fresh.Cores(2, ws, we)
+			want, err := fresh.Query(2).Window(ws, we).Collect(ctx)
 			if err != nil && err != tkc.ErrNoTimestamps {
 				t.Fatal(err)
 			}
@@ -185,12 +188,12 @@ func TestWatcherFollowsStream(t *testing.T) {
 					seed, j, ws, we)
 			}
 			// Count-only agrees with materialisation.
-			qs, err := w.CountCores()
+			qs, err := w.Query().Count(ctx)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if int(qs.Cores) != len(got) {
-				t.Fatalf("seed %d: CountCores=%d, len(Cores())=%d", seed, qs.Cores, len(got))
+				t.Fatalf("seed %d: Count=%d, len(Collect)=%d", seed, qs.Cores, len(got))
 			}
 		}
 		st := w.Stats()
@@ -203,6 +206,7 @@ func TestWatcherFollowsStream(t *testing.T) {
 // TestWatcherRepairsDirectAppend checks that appends bypassing the watcher
 // are observed on the next query.
 func TestWatcherRepairsDirectAppend(t *testing.T) {
+	ctx := context.Background()
 	g, err := tkc.NewGraph([]tkc.Edge{
 		{U: 1, V: 2, Time: 1}, {U: 2, V: 3, Time: 1}, {U: 1, V: 3, Time: 1},
 	})
@@ -213,14 +217,14 @@ func TestWatcherRepairsDirectAppend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, err := w.CountCores()
+	before, err := w.Query().Count(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := g.Append(tkc.Edge{U: 3, V: 4, Time: 2}, tkc.Edge{U: 2, V: 4, Time: 2}, tkc.Edge{U: 2, V: 3, Time: 2}); err != nil {
 		t.Fatal(err)
 	}
-	after, err := w.CountCores()
+	after, err := w.Query().Count(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package temporalkcore_test
 
 import (
+	"context"
 	"errors"
 	"io"
 	"testing"
@@ -29,31 +30,39 @@ func errGraph(t *testing.T) *tkc.Graph {
 // ErrNoTimestamps — never a silent empty result, never the other sentinel.
 func TestRangeErrorContract(t *testing.T) {
 	g := errGraph(t)
+	ctx := context.Background()
 	entryPoints := []struct {
 		name string
 		call func(start, end int64) error
 	}{
-		{"Cores", func(s, e int64) error { _, err := g.Cores(2, s, e); return err }},
-		{"CoresFunc", func(s, e int64) error {
-			_, err := g.CoresFunc(2, s, e, func(tkc.Core) bool { return true })
-			return err
+		{"Collect", func(s, e int64) error { _, err := g.Query(2).Window(s, e).Collect(ctx); return err }},
+		{"Seq", func(s, e int64) error {
+			for _, err := range g.Query(2).Window(s, e).Seq(ctx) {
+				if err != nil {
+					return err
+				}
+			}
+			return nil
 		}},
-		{"CountCores", func(s, e int64) error { _, err := g.CountCores(2, s, e); return err }},
-		{"WriteCores", func(s, e int64) error { _, err := g.WriteCores(io.Discard, 2, s, e); return err }},
-		{"QueryBatch", func(s, e int64) error {
-			res := g.QueryBatch([]tkc.QuerySpec{{K: 2, Start: s, End: e}})
+		{"Count", func(s, e int64) error { _, err := g.Query(2).Window(s, e).Count(ctx); return err }},
+		{"WriteTo", func(s, e int64) error { _, err := g.Query(2).Window(s, e).WriteTo(ctx, io.Discard); return err }},
+		{"RunBatch", func(s, e int64) error {
+			res := g.RunBatch(ctx, []*tkc.Request{g.Query(2).Window(s, e)})
 			return res[0].Err
 		}},
-		{"CountBatch", func(s, e int64) error {
-			res := g.CountBatch([]tkc.QuerySpec{{K: 2, Start: s, End: e}}, 1)
+		{"RunBatch count-only", func(s, e int64) error {
+			res := g.RunBatch(ctx, []*tkc.Request{g.Query(2).Window(s, e)}, tkc.BatchOptions{Parallelism: 1, CountOnly: true})
 			return res[0].Err
 		}},
 		{"Prepare", func(s, e int64) error { _, err := g.Prepare(2, s, e); return err }},
 		{"CoreTimes", func(s, e int64) error { _, err := g.CoreTimes(1, 2, s, e); return err }},
 		{"VertexSets", func(s, e int64) error { _, err := g.VertexSets(2, s, e); return err }},
-		{"KHCore", func(s, e int64) error { _, err := g.KHCore(2, 1, s, e); return err }},
-		{"KHCoreEdges", func(s, e int64) error { _, err := g.KHCoreEdges(2, 1, s, e); return err }},
-		{"BuildHistoricalIndex", func(s, e int64) error { _, err := g.BuildHistoricalIndex(s, e); return err }},
+		{"Snapshot vertices", func(s, e int64) error {
+			_, _, err := g.Query(2).Window(s, e).Snapshot(1).Project(tkc.ProjectVertices).First(ctx)
+			return err
+		}},
+		{"Snapshot edges", func(s, e int64) error { _, _, err := g.Query(2).Window(s, e).Snapshot(1).First(ctx); return err }},
+		{"HistoricalIndex", func(s, e int64) error { _, err := g.HistoricalIndex(ctx, s, e); return err }},
 	}
 	cases := []struct {
 		name       string
@@ -86,7 +95,8 @@ func TestRangeErrorContract(t *testing.T) {
 // HistoricalIndex, which resolve ranges against the indexed window.
 func TestHistoricalIndexRangeContract(t *testing.T) {
 	g := errGraph(t)
-	h, err := g.BuildHistoricalIndex(10, 14)
+	ctx := context.Background()
+	h, err := g.HistoricalIndex(ctx, 10, 14)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,8 +105,11 @@ func TestHistoricalIndexRangeContract(t *testing.T) {
 		call func(start, end int64) error
 	}{
 		{"Contains", func(s, e int64) error { _, err := h.Contains(1, 2, s, e); return err }},
-		{"CoreMembers", func(s, e int64) error { _, err := h.CoreMembers(2, s, e); return err }},
-		{"CoreEdges", func(s, e int64) error { _, err := h.CoreEdges(2, s, e); return err }},
+		{"Query vertices", func(s, e int64) error {
+			_, _, err := h.Query(2).Window(s, e).Project(tkc.ProjectVertices).First(ctx)
+			return err
+		}},
+		{"Query edges", func(s, e int64) error { _, _, err := h.Query(2).Window(s, e).First(ctx); return err }},
 		{"CoreNumber", func(s, e int64) error { _, err := h.CoreNumber(1, s, e); return err }},
 	}
 	for _, c := range calls {
@@ -116,14 +129,21 @@ func TestHistoricalIndexRangeContract(t *testing.T) {
 // query entry points.
 func TestKValidationContract(t *testing.T) {
 	g := errGraph(t)
+	ctx := context.Background()
 	for name, call := range map[string]func() error{
-		"Cores":      func() error { _, err := g.Cores(0, 10, 14); return err },
-		"CountCores": func() error { _, err := g.CountCores(-1, 10, 14); return err },
-		"Prepare":    func() error { _, err := g.Prepare(0, 10, 14); return err },
-		"QueryBatch": func() error { return g.QueryBatch([]tkc.QuerySpec{{K: 0, Start: 10, End: 14}})[0].Err },
-		"KHCore k":   func() error { _, err := g.KHCore(0, 1, 10, 14); return err },
-		"KHCore h":   func() error { _, err := g.KHCore(1, 0, 10, 14); return err },
-		"Watch":      func() error { _, err := g.Watch(0, 0); return err },
+		"Collect":  func() error { _, err := g.Query(0).Window(10, 14).Collect(ctx); return err },
+		"Count":    func() error { _, err := g.Query(-1).Window(10, 14).Count(ctx); return err },
+		"Prepare":  func() error { _, err := g.Prepare(0, 10, 14); return err },
+		"RunBatch": func() error { return g.RunBatch(ctx, []*tkc.Request{g.Query(0).Window(10, 14)})[0].Err },
+		"Snapshot k": func() error {
+			_, _, err := g.Query(0).Window(10, 14).Snapshot(1).Project(tkc.ProjectVertices).First(ctx)
+			return err
+		},
+		"Snapshot h": func() error {
+			_, _, err := g.Query(1).Window(10, 14).Snapshot(0).Project(tkc.ProjectVertices).First(ctx)
+			return err
+		},
+		"Watch": func() error { _, err := g.Watch(0, 0); return err },
 	} {
 		err := call()
 		if err == nil {

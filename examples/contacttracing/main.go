@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -79,11 +80,15 @@ func main() {
 	}
 	tightest := map[string]hit{}
 	memberSets := map[string][]int64{}
-	stats, err := g.CoresFunc(k, 1, daysObs, func(c tkc.Core) bool {
+	var stats tkc.QueryStats
+	for c, err := range g.Query(k).Window(1, daysObs).Stats(&stats).Seq(context.Background()) {
+		if err != nil {
+			log.Fatal(err)
+		}
 		m := members(c)
 		// Ignore big diffuse cores; clusters of interest are small.
 		if len(m) > 12 {
-			return true
+			continue
 		}
 		key := fmt.Sprint(m)
 		h, ok := tightest[key]
@@ -91,10 +96,6 @@ func main() {
 			tightest[key] = hit{start: c.Start, end: c.End}
 			memberSets[key] = m
 		}
-		return true
-	})
-	if err != nil {
-		log.Fatal(err)
 	}
 	fmt.Printf("examined %d temporal %d-cores\n", stats.Cores, k)
 	fmt.Printf("candidate transmission clusters (small dense groups): %d\n\n", len(tightest))
@@ -103,7 +104,15 @@ func main() {
 	for key := range tightest {
 		keys = append(keys, key)
 	}
-	sort.Slice(keys, func(i, j int) bool { return tightest[keys[i]].start < tightest[keys[j]].start })
+	// Clusters starting on the same day print in member order, so the
+	// listing does not follow the map's random iteration order.
+	sort.Slice(keys, func(i, j int) bool {
+		a, b := tightest[keys[i]], tightest[keys[j]]
+		if a.start != b.start {
+			return a.start < b.start
+		}
+		return keys[i] < keys[j]
+	})
 	for _, key := range keys {
 		h := tightest[key]
 		fmt.Printf("cluster active days [%d,%d]: people %v\n", h.start, h.end, memberSets[key])

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -71,7 +72,7 @@ func main() {
 
 	// A static analysis: the k-core of the entire year. The TTI spans most
 	// of the year, so it says nothing about when the ring operated.
-	full, err := g.Cores(k, 1, days)
+	full, err := g.Query(k).Window(1, days).Collect(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -22,6 +23,7 @@ const (
 )
 
 func main() {
+	ctx := context.Background()
 	r := rand.New(rand.NewSource(5))
 	var edges []tkc.Edge
 
@@ -51,7 +53,7 @@ func main() {
 	}
 
 	// One-off index construction covering the whole year, all k at once.
-	h, err := g.BuildHistoricalIndex(1, weeks)
+	h, err := g.HistoricalIndex(ctx, 1, weeks)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -68,11 +70,11 @@ func main() {
 	}
 
 	// Membership of the 4-core during the active burst.
-	members, err := h.CoreMembers(4, 10, 14)
+	core, _, err := h.Query(4).Window(10, 14).Project(tkc.ProjectVertices).First(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\n4-core members during weeks [10,14]: %v\n", members)
+	fmt.Printf("\n4-core members during weeks [10,14]: %v\n", core.Vertices)
 
 	// The index serialises; a deployment builds it offline and ships it.
 	var buf bytes.Buffer

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -69,14 +70,14 @@ func main() {
 		members    []int64
 	}
 	var bursts []burst
-	stats, err := g.CoresFunc(k, 1, hours, func(c tkc.Core) bool {
+	var stats tkc.QueryStats
+	for c, err := range g.Query(k).Window(1, hours).Stats(&stats).Seq(context.Background()) {
+		if err != nil {
+			log.Fatal(err)
+		}
 		if c.End-c.Start <= 2*burstWidth {
 			bursts = append(bursts, burst{start: c.Start, end: c.End, members: members(c)})
 		}
-		return true
-	})
-	if err != nil {
-		log.Fatal(err)
 	}
 	fmt.Printf("examined %d temporal %d-cores (|R|=%d edges)\n", stats.Cores, k, stats.Edges)
 	fmt.Printf("tight bursts (span <= %dh): %d\n\n", 2*burstWidth, len(bursts))

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -62,7 +63,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		cores, err := w.Cores()
+		cores, err := w.Query().Collect(context.Background())
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -95,7 +95,7 @@ type HistoricalIndex struct {
 // may then be queried from any goroutine, concurrently with further
 // appends. Calling it on a Snapshot pins that snapshot's epoch.
 //
-// tkc:allow-background: tolerates nil ctx from v1 callers
+// tkc:allow-background: a nil ctx means context.Background
 func (g *Graph) HistoricalIndex(ctx context.Context, start, end int64) (*HistoricalIndex, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -180,19 +180,6 @@ func (g *Graph) buildOrPatchPHC(ctx context.Context, at *tgraph.Graph, w tgraph.
 	return ix, nil
 }
 
-// BuildHistoricalIndex constructs the index over the raw time range
-// [start, end].
-//
-// Deprecated: use Graph.HistoricalIndex, which adds context cancellation
-// and serves repeat builds from the epoch-keyed cache (a warm call costs
-// one lookup; after an Append the index is patched incrementally instead
-// of rebuilt). This shim is that path with context.Background().
-//
-// tkc:allow-background: deprecated v1 shim; the v2 builder threads ctx
-func (g *Graph) BuildHistoricalIndex(start, end int64) (*HistoricalIndex, error) {
-	return g.HistoricalIndex(context.Background(), start, end)
-}
-
 // KMax returns the largest k for which any historical k-core exists in the
 // indexed range.
 func (h *HistoricalIndex) KMax() int { return h.ix.KMax }
@@ -231,44 +218,6 @@ func (h *HistoricalIndex) Contains(label int64, k int, start, end int64) (bool, 
 		return false, err
 	}
 	return h.ix.InCore(v, k, w), nil
-}
-
-// CoreMembers returns the vertex labels (sorted ascending) of the k-core
-// of the snapshot over [start, end].
-//
-// Deprecated: use the v2 builder, which adds context cancellation:
-// h.Query(k).Window(start, end).Project(ProjectVertices).First(ctx).
-// Since v2 the returned labels are sorted ascending (pre-v2 they followed
-// internal vertex-id order).
-//
-// tkc:allow-background: deprecated v1 shim; the v2 builder threads ctx
-func (h *HistoricalIndex) CoreMembers(k int, start, end int64) ([]int64, error) {
-	c, ok, err := h.Query(k).Window(start, end).Project(ProjectVertices).First(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return []int64{}, nil
-	}
-	return c.Vertices, nil
-}
-
-// CoreEdges returns the temporal edges of the k-core of the snapshot over
-// [start, end].
-//
-// Deprecated: use the v2 builder:
-// h.Query(k).Window(start, end).First(ctx).
-//
-// tkc:allow-background: deprecated v1 shim; the v2 builder threads ctx
-func (h *HistoricalIndex) CoreEdges(k int, start, end int64) ([]Edge, error) {
-	c, ok, err := h.Query(k).Window(start, end).First(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return []Edge{}, nil
-	}
-	return c.Edges, nil
 }
 
 // CoreNumber returns the largest k such that the vertex is in the k-core

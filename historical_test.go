@@ -12,11 +12,12 @@ import (
 )
 
 func TestHistoricalIndexPaper(t *testing.T) {
+	ctx := context.Background()
 	g, err := tkc.NewGraph(paperEdges(false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := g.BuildHistoricalIndex(1, 7)
+	h, err := g.HistoricalIndex(ctx, 1, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +29,7 @@ func TestHistoricalIndexPaper(t *testing.T) {
 	}
 
 	// The 2-core of [1,4] (Figure 2's larger core): {1,2,3,4,9}.
-	members, err := h.CoreMembers(2, 1, 4)
+	members, err := histVertices(h, 2, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,12 +44,12 @@ func TestHistoricalIndexPaper(t *testing.T) {
 		}
 	}
 
-	edges, err := h.CoreEdges(2, 1, 4)
+	c, _, err := h.Query(2).Window(1, 4).First(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(edges) != 6 {
-		t.Errorf("core edges = %d, want 6", len(edges))
+	if len(c.Edges) != 6 {
+		t.Errorf("core edges = %d, want 6", len(c.Edges))
 	}
 
 	in, err := h.Contains(1, 2, 1, 4)
@@ -79,11 +80,12 @@ func TestHistoricalIndexPaper(t *testing.T) {
 }
 
 func TestHistoricalIndexSaveLoad(t *testing.T) {
+	ctx := context.Background()
 	g, err := tkc.NewGraph(paperEdges(false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := g.BuildHistoricalIndex(1, 7)
+	h, err := g.HistoricalIndex(ctx, 1, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,8 +97,8 @@ func TestHistoricalIndexSaveLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _ := h.CoreMembers(2, 1, 4)
-	b, _ := back.CoreMembers(2, 1, 4)
+	a, _ := histVertices(h, 2, 1, 4)
+	b, _ := histVertices(back, 2, 1, 4)
 	if len(a) != len(b) {
 		t.Fatalf("loaded index answers differently: %v vs %v", a, b)
 	}
@@ -106,19 +108,20 @@ func TestHistoricalIndexSaveLoad(t *testing.T) {
 }
 
 func TestHistoricalIndexErrors(t *testing.T) {
+	ctx := context.Background()
 	g, err := tkc.NewGraph(paperEdges(false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.BuildHistoricalIndex(50, 60); err != tkc.ErrNoTimestamps {
+	if _, err := g.HistoricalIndex(ctx, 50, 60); err != tkc.ErrNoTimestamps {
 		t.Errorf("empty range: %v", err)
 	}
-	h, err := g.BuildHistoricalIndex(2, 5)
+	h, err := g.HistoricalIndex(ctx, 2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Queries outside the indexed range must fail loudly, not silently.
-	if _, err := h.CoreMembers(2, 1, 7); err == nil {
+	if _, err := histVertices(h, 2, 1, 7); err == nil {
 		t.Error("query outside indexed range accepted")
 	}
 }
@@ -167,11 +170,11 @@ func TestHistoricalIndexCacheHit(t *testing.T) {
 		t.Errorf("repeat build: hits %d -> %d, want one new hit", afterBuild.Hits, afterHit.Hits)
 	}
 	for k := 1; k <= h1.KMax(); k++ {
-		a, err := h1.CoreMembers(k, lo, hi)
+		a, err := histVertices(h1, k, lo, hi)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := h2.CoreMembers(k, lo, hi)
+		b, err := histVertices(h2, k, lo, hi)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,7 +219,7 @@ func TestHistoricalIndexPatchAfterAppend(t *testing.T) {
 			for trial := 0; trial < 6; trial++ {
 				s := lo + int64(r.Intn(int(hi-lo+1)))
 				e := s + int64(r.Intn(int(hi-s+1)))
-				got, err := h.CoreMembers(k, s, e)
+				got, err := histVertices(h, k, s, e)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -258,7 +261,7 @@ func TestHistoricalIndexEpochPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := h.CoreMembers(2, 1, 2); len(got) != 0 {
+	if got, _ := histVertices(h, 2, 1, 2); len(got) != 0 {
 		t.Fatalf("path graph has a 2-core: %v", got)
 	}
 
@@ -266,7 +269,7 @@ func TestHistoricalIndexEpochPinned(t *testing.T) {
 	if _, err := g.Append(tkc.Edge{U: 1, V: 3, Time: 3}); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := h.CoreMembers(2, 1, 2); len(got) != 0 {
+	if got, _ := histVertices(h, 2, 1, 2); len(got) != 0 {
 		t.Fatalf("append leaked into the pinned index: %v", got)
 	}
 	if h.Seq() != 0 {
@@ -280,7 +283,7 @@ func TestHistoricalIndexEpochPinned(t *testing.T) {
 	if h2.Seq() != 1 {
 		t.Errorf("fresh index seq = %d, want 1", h2.Seq())
 	}
-	got, err := h2.CoreMembers(2, 1, 3)
+	got, err := histVertices(h2, 2, 1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +318,7 @@ func TestHistoricalIndexConcurrentAppend(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := h.CoreMembers(2, lo, hi); err != nil {
+				if _, err := histVertices(h, 2, lo, hi); err != nil {
 					t.Errorf("pinned index query: %v", err)
 					return
 				}
@@ -326,7 +329,7 @@ func TestHistoricalIndexConcurrentAppend(t *testing.T) {
 					t.Errorf("latest-epoch index: %v", err)
 					return
 				}
-				if _, err := hh.CoreMembers(2, sLo, sHi); err != nil {
+				if _, err := histVertices(hh, 2, sLo, sHi); err != nil {
 					t.Errorf("latest-epoch query: %v", err)
 					return
 				}
@@ -379,4 +382,11 @@ func TestLoadHistoricalIndexRejectsMismatch(t *testing.T) {
 	if _, err := g1.LoadHistoricalIndex(bytes.NewReader(saved)); err == nil {
 		t.Error("index loaded against a later epoch of its graph")
 	}
+}
+
+// histVertices returns the sorted vertex labels of the k-core of the
+// snapshot over [s, e] from a historical index, nil when it is empty.
+func histVertices(h *tkc.HistoricalIndex, k int, s, e int64) ([]int64, error) {
+	c, _, err := h.Query(k).Window(s, e).Project(tkc.ProjectVertices).First(context.Background())
+	return c.Vertices, err
 }

@@ -23,8 +23,8 @@
 //
 // Separately, calls to context.Background and context.TODO are banned in
 // library code: a root context discards the caller's deadline and
-// cancellation. Intentional roots (deprecated shims, process-lifetime
-// daemons) are annotated
+// cancellation. Intentional roots (ctx-less convenience forms, nil-ctx
+// tolerance, process-lifetime daemons) are annotated
 //
 //	// tkc:allow-background: <reason>
 //

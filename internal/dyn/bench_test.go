@@ -1,6 +1,7 @@
 package dyn_test
 
 import (
+	"fmt"
 	"testing"
 
 	"temporalkcore/internal/core"
@@ -8,6 +9,7 @@ import (
 	"temporalkcore/internal/enum"
 	"temporalkcore/internal/gen"
 	"temporalkcore/internal/tgraph"
+	"temporalkcore/internal/vct"
 )
 
 // benchStream synthesises the CM (CollegeMsg) replica and splits its
@@ -136,4 +138,77 @@ func BenchmarkPatchVsBuild(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkSteadyRefresh times a watcher's steady state, which
+// BenchmarkPatchVsBuild does not: there the patch is an index's first
+// refresh, on a cold arena. Here the 1% tail streams in 10-edge batches
+// and each op is one batch: "patch" times the Refresh of the trailing
+// window on warm arenas, "build" a vct.BuildScratch of the same window on
+// a warm Scratch. Appends are untimed. When the tail runs out the stream
+// restarts from the base graph, and the first two batches of every pass
+// are untimed warm-ups, so both sides time the same graph states: from
+// the third refresh on, an index alternates between two arenas it has
+// already grown.
+func BenchmarkSteadyRefresh(b *testing.B) {
+	const k, batch, warmup = 8, 10, 2
+	base, tail := benchStream(b, 59835)
+	for _, pct := range []tgraph.TS{2, 20} {
+		window := func(g *tgraph.Graph) tgraph.Window {
+			return tgraph.Window{Start: 1 + g.TMax()*(100-pct)/100, End: g.TMax()}
+		}
+		// run streams the tail through a fresh base graph per pass and
+		// times step after each batch past the warm-ups; start prepares
+		// the side's state for a pass.
+		run := func(b *testing.B, start func(*tgraph.Graph), step func(*tgraph.Graph)) {
+			b.ReportAllocs()
+			b.StopTimer()
+			var g *tgraph.Graph
+			next := len(tail)
+			for i := 0; i < b.N; {
+				if next+batch > len(tail) {
+					var err error
+					if g, err = tgraph.FromRawEdges(base); err != nil {
+						b.Fatal(err)
+					}
+					start(g)
+					next = 0
+				}
+				if _, err := g.Append(tail[next : next+batch]); err != nil {
+					b.Fatal(err)
+				}
+				timed := next >= warmup*batch
+				next += batch
+				if timed {
+					b.StartTimer()
+				}
+				step(g)
+				if timed {
+					b.StopTimer()
+					i++
+				}
+			}
+		}
+		b.Run(fmt.Sprintf("trailing%d/patch", pct), func(b *testing.B) {
+			var d *dyn.Index
+			run(b, func(g *tgraph.Graph) {
+				var err error
+				if d, err = dyn.New(g, k, window(g)); err != nil {
+					b.Fatal(err)
+				}
+			}, func(g *tgraph.Graph) {
+				if err := d.Refresh(window(g)); err != nil {
+					b.Fatal(err)
+				}
+			})
+		})
+		b.Run(fmt.Sprintf("trailing%d/build", pct), func(b *testing.B) {
+			s := new(vct.Scratch)
+			run(b, func(*tgraph.Graph) {}, func(g *tgraph.Graph) {
+				if _, _, err := vct.BuildScratch(g, k, window(g), s); err != nil {
+					b.Fatal(err)
+				}
+			})
+		})
+	}
 }

@@ -2,9 +2,8 @@
 // graph: the ordered sealed cuts of its timeline, with the open frontier
 // shard above the last one. It is a storage concern only. Queries run on
 // the whole graph's epoch through the unsharded executor; the directory
-// tells the storage layer which ranges are sealed (their segment images
-// are written once) and tells a query how many shards its window
-// overlaps.
+// tells the storage layer which cuts to record in its manifest and tells
+// a query how many shards its window overlaps.
 //
 // The append-only frontier makes the partition trivial to maintain: edges
 // only ever arrive at (or after) the newest timestamp, so every shard but

@@ -5,24 +5,19 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-
-	"temporalkcore/internal/tgraph"
 )
 
 // Sharded durability rides on the same data directory: the spine graph
 // recovers through the usual snapshot + WAL chain (the only path proven
-// byte-identical), while the shard partition persists as
+// byte-identical), and every shard's edges recover with it. The shard
+// partition persists only as
 //
-//	shard-<id>-<seq>.tkcs  standalone segment image of sealed shard <id>
-//	shards.json            the manifest of sealed cuts, rewritten per seal
+//	shards.json  the manifest of sealed cuts, rewritten per seal
 //
-// A sealed shard's range is immutable, so its segment file is written
-// exactly once — SyncShards never rewrites an existing file — and the
-// whole shard tier is exempt from snapshot compaction (compact only
-// touches snapshot-/wal-/warm- files). Each shard file is a complete
-// TKSG1 image of just that shard's edges, openable on its own with
-// ReadShard: a sealed shard can be shipped, archived or served elsewhere
-// without the rest of the history.
+// which snapshot compaction leaves alone (compact only touches
+// snapshot-/wal-/warm- files). Per-shard segment images
+// (shard-<id>-<seq>.tkcs) found in a directory are neither read nor
+// removed.
 
 // ShardCut is the durable record of one sealed shard boundary, mirroring
 // the in-memory directory cut.
@@ -33,39 +28,16 @@ type ShardCut struct {
 	Seq    int64 `json:"seq"`     // spine mutation sequence at seal time
 }
 
-func (s *Store) shardPath(id int, seq int64) string {
-	return filepath.Join(s.dir, fmt.Sprintf("shard-%d-%d.tkcs", id, seq))
-}
-
 func (s *Store) manifestPath() string {
 	return filepath.Join(s.dir, "shards.json")
 }
 
 // SyncShards makes the sealed-shard tier durable for the given cut list
-// (ascending, cuts[i].ID == i): every cut whose standalone segment image
-// is missing gets one written atomically, then the manifest is rewritten.
-// Existing shard files are never touched — sealed ranges are immutable,
-// so a re-seal of the same cut is a no-op. Writer-side, like Append.
+// (ascending, cuts[i].ID == i) by rewriting the manifest atomically.
+// Writer-side, like Append.
 func (s *Store) SyncShards(cuts []ShardCut) error {
 	if s.g == nil {
 		return fmt.Errorf("store: empty store: nothing to shard")
-	}
-	start := tgraph.TS(1)
-	for _, c := range cuts {
-		end := tgraph.TS(c.End)
-		path := s.shardPath(c.ID, c.Seq)
-		if _, err := os.Stat(path); err == nil {
-			start = end + 1
-			continue // sealed shards snapshot exactly once
-		}
-		slice, err := s.g.SliceWindow(tgraph.Window{Start: start, End: end})
-		if err != nil {
-			return fmt.Errorf("store: slicing shard %d [%d,%d]: %w", c.ID, start, end, err)
-		}
-		if err := writeFileAtomic(path, func(f *os.File) error { return slice.WriteSegments(f) }); err != nil {
-			return fmt.Errorf("store: writing shard %d: %w", c.ID, err)
-		}
-		start = end + 1
 	}
 	data, err := json.MarshalIndent(cuts, "", "  ")
 	if err != nil {
@@ -103,18 +75,4 @@ func (s *Store) ShardManifest() ([]ShardCut, error) {
 		}
 	}
 	return cuts, nil
-}
-
-// ReadShard opens one sealed shard's standalone segment image.
-func (s *Store) ReadShard(id int, seq int64) (*tgraph.Graph, error) {
-	f, err := os.Open(s.shardPath(id, seq))
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	defer f.Close()
-	g, err := tgraph.ReadSegments(f)
-	if err != nil {
-		return nil, fmt.Errorf("store: shard %d: %w", id, err)
-	}
-	return g, nil
 }

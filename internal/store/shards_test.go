@@ -1,12 +1,10 @@
 package store
 
 import (
-	"bytes"
 	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
-
-	"temporalkcore/internal/tgraph"
 )
 
 // shardCuts seals two shards, [1,3] and [4,5], of a store filled by
@@ -19,8 +17,7 @@ func shardCuts(seq int64) []ShardCut {
 }
 
 // TestSyncShardsRoundTrip checks that SyncShards persists a manifest that
-// ShardManifest reads back unchanged, and that each shard file opens with
-// ReadShard as exactly the spine's slice of that shard's range.
+// ShardManifest reads back unchanged, and writes no per-shard image.
 func TestSyncShardsRoundTrip(t *testing.T) {
 	st := fillStore(t, t.TempDir(), 6)
 	defer st.Close()
@@ -38,30 +35,13 @@ func TestSyncShardsRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, cuts) {
 		t.Fatalf("manifest %+v, want %+v", got, cuts)
 	}
-	start := tgraph.TS(1)
-	for _, c := range cuts {
-		w := tgraph.Window{Start: start, End: tgraph.TS(c.End)}
-		want, err := st.Graph().SliceWindow(w)
-		if err != nil {
-			t.Fatalf("SliceWindow %v: %v", w, err)
-		}
-		sh, err := st.ReadShard(c.ID, c.Seq)
-		if err != nil {
-			t.Fatalf("ReadShard %d: %v", c.ID, err)
-		}
-		if !bytes.Equal(segBytes(t, sh), segBytes(t, want)) {
-			t.Fatalf("shard %d differs from the spine's slice of %v", c.ID, w)
-		}
-		start = w.End + 1
-	}
-	if _, err := st.ReadShard(len(cuts), st.Seq()); err == nil {
-		t.Fatal("ReadShard of an unsealed shard succeeded")
+	if images, _ := filepath.Glob(filepath.Join(st.dir, "shard-*.tkcs")); len(images) != 0 {
+		t.Fatalf("SyncShards wrote shard images %v", images)
 	}
 }
 
-// TestSyncShardsKeepsSealedFiles checks that a re-sync writes only the
-// shards that are new: an existing shard file is never rewritten, even
-// when its content no longer matches the spine.
+// TestSyncShardsKeepsSealedFiles checks that a re-sync after a further
+// seal rewrites the manifest with every sealed cut.
 func TestSyncShardsKeepsSealedFiles(t *testing.T) {
 	st := fillStore(t, t.TempDir(), 6)
 	defer st.Close()
@@ -69,19 +49,8 @@ func TestSyncShardsKeepsSealedFiles(t *testing.T) {
 	if err := st.SyncShards(cuts[:1]); err != nil {
 		t.Fatalf("SyncShards: %v", err)
 	}
-	path := st.shardPath(0, cuts[0].Seq)
-	sentinel := []byte("sealed once")
-	if err := os.WriteFile(path, sentinel, 0o644); err != nil {
-		t.Fatal(err)
-	}
 	if err := st.SyncShards(cuts); err != nil {
 		t.Fatalf("re-sync: %v", err)
-	}
-	if data, err := os.ReadFile(path); err != nil || !bytes.Equal(data, sentinel) {
-		t.Fatalf("sealed shard file rewritten: %q, %v", data, err)
-	}
-	if _, err := st.ReadShard(1, cuts[1].Seq); err != nil {
-		t.Fatalf("new shard not written: %v", err)
 	}
 	got, err := st.ShardManifest()
 	if err != nil || len(got) != len(cuts) {

@@ -37,45 +37,3 @@ func (r *Request) runSnapshot(ctx context.Context, qs *QueryStats, proj Projecti
 	qs.EnumTime = time.Since(began)
 	return nil
 }
-
-// KHCore returns the members of the (k, h)-core of the snapshot over the
-// raw range [start, end]: the maximal subgraph in which every vertex has
-// at least k neighbours with at least h temporal interactions each inside
-// the range. It implements the related temporal cohesion model of Wu et
-// al. (IEEE BigData 2015), surveyed in Section III-B of the reproduced
-// paper; (k, 1)-cores coincide with ordinary snapshot k-cores.
-//
-// Deprecated: use the v2 builder, which adds context cancellation and
-// projections: g.Query(k).Window(start, end).Snapshot(h).First(ctx).
-// Since v2 the returned labels are sorted ascending (pre-v2 they followed
-// internal vertex-id order).
-//
-// tkc:allow-background: deprecated v1 shim; the v2 builder threads ctx
-func (g *Graph) KHCore(k, h int, start, end int64) ([]int64, error) {
-	c, ok, err := g.Query(k).Window(start, end).Snapshot(h).Project(ProjectVertices).First(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return []int64{}, nil
-	}
-	return c.Vertices, nil
-}
-
-// KHCoreEdges returns the temporal edges of the (k, h)-core over the raw
-// range [start, end]; see KHCore.
-//
-// Deprecated: use the v2 builder:
-// g.Query(k).Window(start, end).Snapshot(h).First(ctx).
-//
-// tkc:allow-background: deprecated v1 shim; the v2 builder threads ctx
-func (g *Graph) KHCoreEdges(k, h int, start, end int64) ([]Edge, error) {
-	c, ok, err := g.Query(k).Window(start, end).Snapshot(h).First(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return []Edge{}, nil
-	}
-	return c.Edges, nil
-}

@@ -74,15 +74,6 @@ func BenchmarkIteratorEarlyStop(b *testing.B) {
 			}
 		}
 	})
-	b.Run("CoresV1", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			cores, err := g.Cores(k, ws, we)
-			if err != nil || len(cores) == 0 {
-				b.Fatalf("%d cores, err=%v", len(cores), err)
-			}
-		}
-	})
 	// Full-range references: First streams its one core out of a window
 	// whose |R| (~10.8B edges on this replica) could never be materialised;
 	// Count streams the whole result without retaining it.

@@ -49,7 +49,7 @@ func (g *Graph) Prepare(k int, start, end int64) (*PreparedQuery, error) {
 // ctx.Err() when it fires, leaving the cache untouched; a cache hit costs
 // one lookup and never blocks on ctx. A nil ctx means context.Background.
 //
-// tkc:allow-background: tolerates nil ctx from v1 callers
+// tkc:allow-background: a nil ctx means context.Background
 func (g *Graph) PrepareContext(ctx context.Context, k int, start, end int64) (*PreparedQuery, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -95,41 +95,9 @@ func (p *PreparedQuery) VCTSize() int { return p.ix.Size() }
 func (p *PreparedQuery) ECSSize() int { return p.ecs.Size() }
 
 // PrepareTime returns the wall time the CoreTime phase took in Prepare.
-// It is deliberately not repeated in each CoresFunc call's QueryStats:
+// It is deliberately not repeated in each execution's QueryStats:
 // the cost was paid once, and summing per-call stats would over-count it.
 func (p *PreparedQuery) PrepareTime() time.Duration { return p.coreTime }
-
-// CoresFunc streams every distinct temporal k-core to fn; see
-// Graph.CoresFunc. Safe to call concurrently: each call draws its own
-// enumeration scratch from the shared pool, so repeated calls on a warm
-// process allocate almost nothing. QueryStats.CoreTime stays zero — the
-// CoreTime phase ran in Prepare; see PrepareTime.
-//
-// Deprecated: use the v2 builder, which adds context cancellation and
-// projections: for c, err := range p.Query().Seq(ctx).
-//
-// tkc:allow-background: deprecated v1 shim; the v2 builder threads ctx
-func (p *PreparedQuery) CoresFunc(fn func(Core) bool) (QueryStats, error) {
-	return p.Query().run(context.Background(), fn)
-}
-
-// Cores materialises every distinct temporal k-core.
-//
-// Deprecated: use the v2 builder: p.Query().Collect(ctx).
-//
-// tkc:allow-background: deprecated v1 shim; the v2 builder threads ctx
-func (p *PreparedQuery) Cores() ([]Core, error) {
-	return p.Query().Collect(context.Background())
-}
-
-// Count counts cores and |R| without materialising anything.
-//
-// Deprecated: use the v2 builder: p.Query().Count(ctx).
-//
-// tkc:allow-background: deprecated v1 shim; the v2 builder threads ctx
-func (p *PreparedQuery) Count() (QueryStats, error) {
-	return p.Query().Count(context.Background())
-}
 
 // CoreTime returns the core time of a vertex label for a raw start time:
 // the earliest raw end time te such that the vertex is in the k-core of

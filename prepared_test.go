@@ -1,6 +1,7 @@
 package temporalkcore_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 )
 
 func TestPreparedQueryMatchesDirect(t *testing.T) {
+	ctx := context.Background()
 	g, err := tkc.NewGraph(paperEdges(false))
 	if err != nil {
 		t.Fatal(err)
@@ -16,11 +18,11 @@ func TestPreparedQueryMatchesDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := g.Cores(2, 1, 7)
+	direct, err := g.Query(2).Window(1, 7).Collect(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prepared, err := p.Cores()
+	prepared, err := p.Query().Collect(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +38,7 @@ func TestPreparedQueryMatchesDirect(t *testing.T) {
 	if p.VCTSize() != 24 || p.ECSSize() != 18 {
 		t.Errorf("sizes %d/%d, want 24/18", p.VCTSize(), p.ECSSize())
 	}
-	qs, err := p.Count()
+	qs, err := p.Query().Count(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,6 +95,7 @@ func TestPreparedValidation(t *testing.T) {
 // TestPreparedConcurrent checks that one PreparedQuery can serve many
 // goroutines (run with -race).
 func TestPreparedConcurrent(t *testing.T) {
+	ctx := context.Background()
 	g, err := tkc.NewGraph(paperEdges(false))
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +110,7 @@ func TestPreparedConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(slot int) {
 			defer wg.Done()
-			qs, err := p.Count()
+			qs, err := p.Query().Count(ctx)
 			if err != nil {
 				t.Error(err)
 				return
@@ -126,6 +129,7 @@ func TestPreparedConcurrent(t *testing.T) {
 // TestConcurrentGraphQueries checks that the Graph itself is safe for
 // concurrent independent queries.
 func TestConcurrentGraphQueries(t *testing.T) {
+	ctx := context.Background()
 	g, err := tkc.NewGraph(paperEdges(false))
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +139,7 @@ func TestConcurrentGraphQueries(t *testing.T) {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			if _, err := g.CountCores(1+k%2, 1, 7); err != nil {
+			if _, err := g.Query(1+k%2).Window(1, 7).Count(ctx); err != nil {
 				t.Error(err)
 			}
 		}(i)

@@ -283,7 +283,7 @@ func (c Core) clone() Core {
 // Core passed to fn reuses buffers between calls; public executors copy
 // before handing cores out.
 //
-// tkc:allow-background: tolerates nil ctx from v1 callers
+// tkc:allow-background: a nil ctx means context.Background
 func (r *Request) run(ctx context.Context, fn func(Core) bool) (QueryStats, error) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -34,6 +34,23 @@ func reqGraph(t testing.TB, seed int64, n, m int) *tkc.Graph {
 	return g
 }
 
+// edgeVertices returns the distinct endpoint labels of edges, sorted
+// ascending: the vertex projection of a core given by its edges.
+func edgeVertices(edges []tkc.Edge) []int64 {
+	seen := map[int64]bool{}
+	var out []int64
+	for _, e := range edges {
+		for _, v := range []int64{e.U, e.V} {
+			if !seen[v] {
+				seen[v] = true
+				out = append(out, v)
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
 func coresEqual(t *testing.T, what string, got, want []tkc.Core) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -49,14 +66,14 @@ func coresEqual(t *testing.T, what string, got, want []tkc.Core) {
 	}
 }
 
-// TestRequestOneShotMatchesV1 locks the v2 builder's one-shot engine to
-// the v1 methods it replaces.
+// TestRequestOneShotMatchesV1 locks the one-shot request's execution
+// forms (Collect, Count, Seq, EarlyStop, First) to each other.
 func TestRequestOneShotMatchesV1(t *testing.T) {
 	g := reqGraph(t, 1, 40, 400)
 	ctx := context.Background()
 	lo, hi := g.TimeSpan()
 
-	want, err := g.Cores(2, lo, hi)
+	want, err := g.Query(2).Window(lo, hi).Collect(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,8 +90,8 @@ func TestRequestOneShotMatchesV1(t *testing.T) {
 	}
 	coresEqual(t, "Collect default window", got, want)
 
-	// Count matches CountCores.
-	wantQS, err := g.CountCores(2, lo, hi)
+	// Count is the same on every execution.
+	wantQS, err := g.Query(2).Window(lo, hi).Count(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,8 +200,8 @@ func TestRequestProjections(t *testing.T) {
 }
 
 // TestRequestEngines drives the prepared, watcher, snapshot and historical
-// engines through the same builder and compares them with their v1
-// counterparts.
+// engines through the same builder and compares them with reference
+// answers.
 func TestRequestEngines(t *testing.T) {
 	g := reqGraph(t, 3, 30, 300)
 	ctx := context.Background()
@@ -233,37 +250,40 @@ func TestRequestEngines(t *testing.T) {
 		t.Fatalf("sharded request overlapped %d shards, want 3", st.Shards)
 	}
 
-	// Snapshot (k,h)-core vs KHCore.
-	wantMembers, err := g.KHCore(2, 2, lo, hi)
+	// Snapshot (k,h)-core: the vertex projection vs the edge projection's
+	// endpoints.
+	sc, _, err := g.Query(2).Window(lo, hi).Snapshot(2).First(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
+	wantMembers := edgeVertices(sc.Edges)
 	c, ok, err := g.Query(2).Window(lo, hi).Snapshot(2).Project(tkc.ProjectVertices).First(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !ok && len(wantMembers) > 0 {
-		t.Fatalf("snapshot: no core, KHCore found %d members", len(wantMembers))
+		t.Fatalf("snapshot: no core, the edge projection found %d members", len(wantMembers))
 	}
 	if ok && !reflect.DeepEqual(c.Vertices, wantMembers) {
 		t.Fatalf("snapshot vertices %v, want %v", c.Vertices, wantMembers)
 	}
 
 	// Historical index.
-	h, err := g.BuildHistoricalIndex(lo, hi)
+	h, err := g.HistoricalIndex(ctx, lo, hi)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantHist, err := h.CoreMembers(3, lo, hi)
+	hcEdges, _, err := h.Query(3).Window(lo, hi).First(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
+	wantHist := edgeVertices(hcEdges.Edges)
 	hc, ok, err := h.Query(3).Window(lo, hi).Project(tkc.ProjectVertices).First(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !ok && len(wantHist) > 0 {
-		t.Fatalf("historical: no core, CoreMembers found %d", len(wantHist))
+		t.Fatalf("historical: no core, the edge projection found %d members", len(wantHist))
 	}
 	if ok && !reflect.DeepEqual(hc.Vertices, wantHist) {
 		t.Fatalf("historical vertices %v, want %v", hc.Vertices, wantHist)
@@ -308,7 +328,8 @@ func TestRequestBuilderValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	other := reqGraph(t, 5, 10, 60)
-	h, err := other.BuildHistoricalIndex(other.TimeSpan())
+	oLo, oHi := other.TimeSpan()
+	h, err := other.HistoricalIndex(ctx, oLo, oHi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,9 +407,13 @@ func TestRunBatchMixed(t *testing.T) {
 		t.Fatalf("batch[5]: vertices projection missing")
 	}
 
-	// The deprecated spec API delegates to the same engine.
-	old := g.QueryBatch([]tkc.QuerySpec{{K: 2, Start: lo, End: hi}})
-	coresEqual(t, "QueryBatch shim", old[0].Cores, wantCores)
+	// A request pinned to the default algorithm batches like one without,
+	// and its result carries its spec.
+	pinned := g.RunBatch(ctx, []*tkc.Request{g.Query(2).Window(lo, hi).Algorithm(tkc.AlgoEnum)})
+	coresEqual(t, "pinned algorithm", pinned[0].Cores, wantCores)
+	if want := (tkc.QuerySpec{K: 2, Start: lo, End: hi}); pinned[0].Spec != want {
+		t.Fatalf("batch spec %+v, want %+v", pinned[0].Spec, want)
+	}
 
 	// Per-request Stats destinations are honoured in batches too.
 	var qs tkc.QueryStats

@@ -34,9 +34,9 @@ type ShardOptions struct {
 // The append-only frontier keeps the partition trivially consistent: only
 // the newest shard accepts appends, and Seal freezes it at a cut one rank
 // below the current maximum timestamp — a range no later Append can touch
-// — then opens a new frontier above it. A durable sharded graph writes
-// each sealed shard's segment image once and records the cuts in a
-// manifest (BootstrapShardedDir, OpenShardedDir).
+// — then opens a new frontier above it. A durable sharded graph keeps the
+// spine's snapshot and WAL and records only the cuts, in a manifest
+// (BootstrapShardedDir, OpenShardedDir).
 //
 // A ShardedGraph is single-writer (Append/Seal/Close from one goroutine
 // or externally serialised); reads — Latest, Query, stats — are safe from

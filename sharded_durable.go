@@ -11,9 +11,8 @@ import (
 
 // shardStore couples a ShardedGraph with an open data directory: appends
 // are WAL-logged before they apply (DurableGraph semantics), and each seal
-// persists the sealed shard's standalone segment image exactly once plus
-// the cut manifest. Writer-side calls arrive under the ShardedGraph's
-// writer lock.
+// rewrites the cut manifest. Writer-side calls arrive under the
+// ShardedGraph's writer lock.
 type shardStore struct {
 	st *store.Store
 }
@@ -51,7 +50,7 @@ func manifestCuts(d *shard.Directory) []store.ShardCut {
 
 // BootstrapShardedDir creates a durable sharded graph in an empty data
 // directory: the edge list is WAL-logged and applied, the initial
-// partition's sealed shards get their segment images, and every later
+// partition's cuts are written to the manifest, and every later
 // Append/Seal through the returned graph is persisted the same way. The
 // directory must not already hold a graph.
 func BootstrapShardedDir(dir string, edges []Edge, o ShardOptions) (*ShardedGraph, error) {
@@ -156,9 +155,9 @@ func (sg *ShardedGraph) Durable() bool {
 
 // SnapshotDurable persists the spine like DurableGraph.Snapshot — freeze,
 // WAL rotation, atomic segment write, warm-cache spill, compaction — and
-// returns the persisted sequence. Sealed shard segments are already
-// durable and are never rewritten; compaction leaves them (and the
-// manifest) alone. Errors when the graph is not durable.
+// returns the persisted sequence. The spine holds every shard's edges, and
+// compaction leaves the cut manifest alone. Errors when the graph is not
+// durable.
 func (sg *ShardedGraph) SnapshotDurable() (int64, error) {
 	sg.mu.Lock()
 	ss := sg.st

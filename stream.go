@@ -12,8 +12,9 @@ import (
 // NDJSON (one JSON object per line, in emission order). Because |R| can
 // exceed the graph size by orders of magnitude, results are serialised as
 // they are produced and never accumulated; cancelling ctx stops the
-// stream after the line being written. The wire format matches WriteCores
-// (Vertices appear as a "vertices" field under ProjectVertices).
+// stream after the line being written. Each line holds the core's
+// "start" and "end" and its "edges" as [u, v, t] triples, plus a
+// "vertices" field under ProjectVertices; ReadCores parses the stream.
 func (r *Request) WriteTo(ctx context.Context, w io.Writer) (QueryStats, error) {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	enc := json.NewEncoder(bw)
@@ -39,19 +40,8 @@ func (r *Request) WriteTo(ctx context.Context, w io.Writer) (QueryStats, error) 
 	return qs, bw.Flush()
 }
 
-// WriteCores streams every distinct temporal k-core of [start, end] to w
-// as NDJSON; see Request.WriteTo. It returns the query stats.
-//
-// Deprecated: use the v2 builder, which adds context cancellation and
-// projections: g.Query(k).Window(start, end).WriteTo(ctx, w).
-//
-// tkc:allow-background: deprecated v1 shim; the v2 builder threads ctx
-func (g *Graph) WriteCores(w io.Writer, k int, start, end int64, opts ...Options) (QueryStats, error) {
-	return g.request(k, start, end, opts).WriteTo(context.Background(), w)
-}
-
-// ReadCores parses an NDJSON stream written by WriteCores, invoking fn per
-// core. fn may return false to stop early.
+// ReadCores parses an NDJSON stream written by Request.WriteTo, invoking
+// fn per core. fn may return false to stop early.
 func ReadCores(r io.Reader, fn func(Core) bool) error {
 	dec := json.NewDecoder(r)
 	for {
@@ -72,8 +62,8 @@ func ReadCores(r io.Reader, fn func(Core) bool) error {
 }
 
 // coreJSON is the NDJSON schema: the TTI plus [u, v, t] edge triples.
-// Vertices appears only under ProjectVertices (WriteCores never sets it,
-// keeping its golden wire format unchanged).
+// Vertices appears only under ProjectVertices, so the default projection's
+// golden wire format stays unchanged.
 type coreJSON struct {
 	Start    int64      `json:"start"`
 	End      int64      `json:"end"`

@@ -2,6 +2,7 @@ package temporalkcore_test
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -12,7 +13,7 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden NDJSON files")
 
-// goldenCases are deterministic graphs and queries whose WriteCores output
+// goldenCases are deterministic graphs and queries whose WriteTo output
 // is locked byte for byte: the NDJSON schema ({"start","end","edges":[[u,v,t],...]},
 // one object per line, emission order) is a wire format downstream
 // consumers parse, so accidental changes must fail loudly.
@@ -51,6 +52,7 @@ var goldenCases = []struct {
 }
 
 func TestWriteCoresGolden(t *testing.T) {
+	ctx := context.Background()
 	for _, tc := range goldenCases {
 		t.Run(tc.name, func(t *testing.T) {
 			g, err := tkc.NewGraph(tc.edges)
@@ -58,7 +60,7 @@ func TestWriteCoresGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			var buf bytes.Buffer
-			if _, err := g.WriteCores(&buf, tc.k, tc.start, tc.end); err != nil {
+			if _, err := g.Query(tc.k).Window(tc.start, tc.end).WriteTo(ctx, &buf); err != nil {
 				t.Fatal(err)
 			}
 			path := filepath.Join("testdata", "golden", tc.name+".ndjson")
@@ -76,7 +78,7 @@ func TestWriteCoresGolden(t *testing.T) {
 				t.Fatalf("missing golden file (regenerate with -update): %v", err)
 			}
 			if !bytes.Equal(buf.Bytes(), want) {
-				t.Errorf("WriteCores NDJSON output changed for %s.\nThis is a locked wire format; if the change is intentional, regenerate with `go test -run TestWriteCoresGolden -update`.\n--- got ---\n%s--- want ---\n%s",
+				t.Errorf("WriteTo NDJSON output changed for %s.\nThis is a locked wire format; if the change is intentional, regenerate with `go test -run TestWriteCoresGolden -update`.\n--- got ---\n%s--- want ---\n%s",
 					tc.name, buf.Bytes(), want)
 			}
 
@@ -88,7 +90,7 @@ func TestWriteCoresGolden(t *testing.T) {
 			}); err != nil {
 				t.Fatalf("ReadCores on golden output: %v", err)
 			}
-			cores, err := g.Cores(tc.k, tc.start, tc.end)
+			cores, err := g.Query(tc.k).Window(tc.start, tc.end).Collect(ctx)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -12,12 +12,13 @@ import (
 )
 
 func TestWriteReadCoresRoundTrip(t *testing.T) {
+	ctx := context.Background()
 	g, err := tkc.NewGraph(paperEdges(false))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	qs, err := g.WriteCores(&buf, 2, 1, 7)
+	qs, err := g.Query(2).Window(1, 7).WriteTo(ctx, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,12 +49,13 @@ func TestWriteReadCoresRoundTrip(t *testing.T) {
 }
 
 func TestReadCoresEarlyStop(t *testing.T) {
+	ctx := context.Background()
 	g, err := tkc.NewGraph(paperEdges(false))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := g.WriteCores(&buf, 2, 1, 7); err != nil {
+	if _, err := g.Query(2).Window(1, 7).WriteTo(ctx, &buf); err != nil {
 		t.Fatal(err)
 	}
 	n := 0
@@ -80,15 +82,16 @@ func TestReadCoresRejectsGarbage(t *testing.T) {
 }
 
 func TestWriteCoresPropagatesQueryErrors(t *testing.T) {
+	ctx := context.Background()
 	g, err := tkc.NewGraph(paperEdges(false))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := g.WriteCores(&buf, 0, 1, 7); err == nil {
+	if _, err := g.Query(0).Window(1, 7).WriteTo(ctx, &buf); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := g.WriteCores(&buf, 2, 90, 99); err != tkc.ErrNoTimestamps {
+	if _, err := g.Query(2).Window(90, 99).WriteTo(ctx, &buf); err != tkc.ErrNoTimestamps {
 		t.Errorf("empty range: %v", err)
 	}
 }

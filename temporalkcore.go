@@ -23,9 +23,7 @@
 // and every execution takes a context.Context. The enumeration engines
 // cancel both query phases promptly (bounded poll strides in the CoreTime
 // settle loop and the enumeration sweep); the single-pass snapshot and
-// historical lookups check the context once up front. The pre-v2 methods
-// (Cores, CoresFunc, CountCores, QueryBatch, ...) remain as thin
-// deprecated shims over the builder.
+// historical lookups check the context once up front.
 //
 // Graphs also serve queries while a stream keeps appending: the writer
 // publishes immutable epochs (Graph.Publish) and any number of reader
@@ -40,7 +38,6 @@
 package temporalkcore
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -187,11 +184,6 @@ const (
 	AlgoOTCD     = core.AlgoOTCD
 )
 
-// Options tunes a query.
-type Options struct {
-	Algorithm Algorithm
-}
-
 // QueryStats reports phase timings and intermediate index sizes of a query.
 type QueryStats struct {
 	VCTSize int
@@ -226,55 +218,6 @@ type QueryStats struct {
 	// Patched is always zero: no execution sets it. It is kept so code
 	// that reads it still compiles.
 	Patched int
-}
-
-// request compiles the legacy (k, range, Options) triple into a v2
-// Request — the single execution plan every shimmed method delegates to.
-func (g *Graph) request(k int, start, end int64, opts []Options) *Request {
-	r := g.Query(k).Window(start, end)
-	if len(opts) > 0 {
-		r.Algorithm(opts[0].Algorithm)
-	}
-	return r
-}
-
-// CoresFunc streams every distinct temporal k-core of any window within
-// [start, end] (raw timestamps, inclusive) to fn, each exactly once. fn may
-// return false to stop early. The Core passed to fn (including its edge
-// slice) is only valid during the call unless copied.
-//
-// Deprecated: use the v2 builder, which adds context cancellation and owns
-// result copies: for c, err := range g.Query(k).Window(start, end).Seq(ctx).
-//
-// tkc:allow-background: deprecated v1 shim; the v2 builder threads ctx
-func (g *Graph) CoresFunc(k int, start, end int64, fn func(Core) bool, opts ...Options) (QueryStats, error) {
-	return g.request(k, start, end, opts).run(context.Background(), fn)
-}
-
-// Cores materialises every distinct temporal k-core of any window within
-// [start, end].
-//
-// Deprecated: use the v2 builder:
-// g.Query(k).Window(start, end).Collect(ctx).
-//
-// tkc:allow-background: deprecated v1 shim; the v2 builder threads ctx
-func (g *Graph) Cores(k int, start, end int64, opts ...Options) ([]Core, error) {
-	out, err := g.request(k, start, end, opts).Collect(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// CountCores counts the distinct temporal k-cores and their total edge size
-// (the paper's |R|) without materialising results.
-//
-// Deprecated: use the v2 builder:
-// g.Query(k).Window(start, end).Count(ctx).
-//
-// tkc:allow-background: deprecated v1 shim; the v2 builder threads ctx
-func (g *Graph) CountCores(k int, start, end int64, opts ...Options) (QueryStats, error) {
-	return g.request(k, start, end, opts).Count(context.Background())
 }
 
 // CoreTimeEntry is one label of a vertex's core time index in raw

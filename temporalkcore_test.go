@@ -1,6 +1,7 @@
 package temporalkcore_test
 
 import (
+	"context"
 	"sort"
 	"strings"
 	"testing"
@@ -42,12 +43,13 @@ func TestGraphBasics(t *testing.T) {
 }
 
 func TestCoresMatchFigure2(t *testing.T) {
+	ctx := context.Background()
 	g, err := tkc.NewGraph(paperEdges(true))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Raw range covering paper times 1..4.
-	cores, err := g.Cores(2, 1010, 1040)
+	cores, err := g.Query(2).Window(1010, 1040).Collect(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,13 +66,14 @@ func TestCoresMatchFigure2(t *testing.T) {
 }
 
 func TestAllAlgorithmsAgreeViaAPI(t *testing.T) {
+	ctx := context.Background()
 	g, err := tkc.NewGraph(paperEdges(false))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var counts []int64
 	for _, algo := range []tkc.Algorithm{tkc.AlgoEnum, tkc.AlgoEnumBase, tkc.AlgoOTCD} {
-		qs, err := g.CountCores(2, 1, 7, tkc.Options{Algorithm: algo})
+		qs, err := g.Query(2).Window(1, 7).Algorithm(algo).Count(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,12 +93,14 @@ func TestCoresFuncEarlyStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := 0
-	_, err = g.CoresFunc(2, 1, 7, func(tkc.Core) bool {
+	for _, err := range g.Query(2).Window(1, 7).Seq(context.Background()) {
+		if err != nil {
+			t.Fatal(err)
+		}
 		n++
-		return n < 2
-	})
-	if err != nil {
-		t.Fatal(err)
+		if n == 2 {
+			break
+		}
 	}
 	if n != 2 {
 		t.Errorf("visited %d cores, want 2", n)
@@ -103,17 +108,18 @@ func TestCoresFuncEarlyStop(t *testing.T) {
 }
 
 func TestQueryErrors(t *testing.T) {
+	ctx := context.Background()
 	g, err := tkc.NewGraph(paperEdges(false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.Cores(0, 1, 7); err == nil {
+	if _, err := g.Query(0).Window(1, 7).Collect(ctx); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := g.Cores(2, 100, 200); err != tkc.ErrNoTimestamps {
+	if _, err := g.Query(2).Window(100, 200).Collect(ctx); err != tkc.ErrNoTimestamps {
 		t.Errorf("empty range: %v", err)
 	}
-	if _, err := g.Cores(2, 7, 1); err != tkc.ErrEmptyRange {
+	if _, err := g.Query(2).Window(7, 1).Collect(ctx); err != tkc.ErrEmptyRange {
 		t.Errorf("inverted range: %v", err)
 	}
 	if _, err := tkc.NewGraph(nil); err == nil {
@@ -122,11 +128,12 @@ func TestQueryErrors(t *testing.T) {
 }
 
 func TestHighKNoCores(t *testing.T) {
+	ctx := context.Background()
 	g, err := tkc.NewGraph(paperEdges(false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cores, err := g.Cores(5, 1, 7)
+	cores, err := g.Query(5).Window(1, 7).Collect(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,11 +200,12 @@ func TestVertexSets(t *testing.T) {
 }
 
 func TestLoadAPI(t *testing.T) {
+	ctx := context.Background()
 	g, err := tkc.Load(strings.NewReader("1 2 5\n2 3 6\n1 3 7\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cores, err := g.Cores(2, 5, 7)
+	cores, err := g.Query(2).Window(5, 7).Collect(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,11 +218,12 @@ func TestLoadAPI(t *testing.T) {
 }
 
 func TestStatsReported(t *testing.T) {
+	ctx := context.Background()
 	g, err := tkc.NewGraph(paperEdges(false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	qs, err := g.CountCores(2, 1, 7)
+	qs, err := g.Query(2).Window(1, 7).Count(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,9 @@
 package temporalkcore_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -108,4 +110,101 @@ func TestQueryJSONRequest(t *testing.T) {
 			t.Errorf("Request(%+v) = %v, nil; want eager validation error", q, r)
 		}
 	}
+}
+
+// servedQuery is the serving layer's query body: the wire QueryJSON plus
+// transport fields (epoch pin, deadline) that never reach RequestFrom.
+type servedQuery struct {
+	tkc.QueryJSON
+	Epoch      *int64 `json:"epoch,omitempty"`
+	DeadlineMS int64  `json:"deadlineMs,omitempty"`
+}
+
+// decodeServed decodes one query body the way the HTTP query handler
+// does: a single JSON value with unknown fields rejected.
+func decodeServed(body []byte) (servedQuery, bool) {
+	var q servedQuery
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	return q, dec.Decode(&q) == nil
+}
+
+// countFacts is the deterministic part of a count's statistics: timings
+// and cache outcomes differ between executions of the same request.
+func countFacts(qs tkc.QueryStats) [6]int64 {
+	return [6]int64{qs.Cores, qs.Edges, int64(qs.VCTSize), int64(qs.ECSSize), int64(qs.Shards), int64(qs.Patched)}
+}
+
+// FuzzQueryJSON drives arbitrary bytes through the serving layer's body
+// decoding and QueryJSON.RequestFrom, the one place untrusted bytes become
+// a Request, against a small graph and a sharded view of it. Nothing may
+// panic; an accepted body must run Count, and the body marshalled and
+// decoded again must compile to a request with the same outcome.
+func FuzzQueryJSON(f *testing.F) {
+	g, err := tkc.NewGraph(randomEdges(5, 12, 150, 20))
+	if err != nil {
+		f.Fatal(err)
+	}
+	sg, err := tkc.ShardGraph(g, tkc.ShardOptions{Shards: 3})
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer sg.Close()
+	sources := []struct {
+		name string
+		src  tkc.Querier
+	}{{"graph", g}, {"sharded", sg.Latest()}}
+
+	// The query bodies of the serving layer's tests.
+	for _, body := range []string{
+		`{"k":2}`, `{"k":0}`, `{"k":-4}`, `{"k": `,
+		`{"k":2,"start":10,"end":14}`,
+		`{"k":2,"start":10,"end":14,"project":"vertices"}`,
+		`{"k":2,"start":3,"end":17,"project":"count"}`,
+		`{"k":3,"start":1,"end":20,"project":"count","earlyStop":1}`,
+		`{"k":2,"project":"vertices"}`, `{"k":3,"project":"vertices"}`,
+		`{"k":2,"project":"count"}`, `{"k":3,"project":"count"}`,
+		`{"k":2,"project":"everything"}`,
+		`{"k":2,"algorithm":"base"}`, `{"k":2,"algorithm":"otcd"}`,
+		`{"k":2,"algorithm":"magic"}`,
+		`{"k":2,"earlyStop":2}`, `{"k":2,"larlyStop":5}`,
+		`{"k":2,"epoch":999}`, `{"k":2,"project":"vertices","epoch":0}`,
+		`{"k":3,"project":"count","deadlineMs":1}`,
+	} {
+		f.Add([]byte(body))
+	}
+
+	ctx := context.Background()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		q, ok := decodeServed(body)
+		if !ok {
+			return
+		}
+		again, err := json.Marshal(q)
+		if err != nil {
+			t.Fatalf("marshal %+v: %v", q, err)
+		}
+		q2, ok := decodeServed(again)
+		if !ok {
+			t.Fatalf("re-encoded body %s rejected", again)
+		}
+		for _, s := range sources {
+			r, err := q.RequestFrom(s.src)
+			r2, err2 := q2.RequestFrom(s.src)
+			if (err == nil) != (err2 == nil) {
+				t.Fatalf("%s: %s compiles with %v, re-encoded %s with %v", s.name, body, err, again, err2)
+			}
+			if err != nil {
+				continue
+			}
+			qs, err := r.Count(ctx)
+			qs2, err2 := r2.Count(ctx)
+			if (err == nil) != (err2 == nil) || (err != nil && err.Error() != err2.Error()) {
+				t.Fatalf("%s: %s counts with %v, re-encoded %s with %v", s.name, body, err, again, err2)
+			}
+			if countFacts(qs) != countFacts(qs2) {
+				t.Fatalf("%s: %s counts %+v, re-encoded %s %+v", s.name, body, qs, again, qs2)
+			}
+		}
+	})
 }
