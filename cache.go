@@ -60,13 +60,16 @@ type CacheStats struct {
 //
 // Keys embed the epoch sequence number (see Snapshot.Seq), which on an
 // append-only graph identifies the graph state exactly: entries can never
-// go stale, appends simply mint new keys, and entries of retired epochs
-// are dropped when the serving layer drains them. The cache is enabled by
-// default with DefaultCacheMaxBytes; replacing the configuration resets
-// the counters and drops every resident entry. Safe to call from any
-// goroutine, though entries built under the old configuration are lost,
-// and a Watcher keeps using the cache instance captured when Watch was
-// called — reconfigure before creating watchers.
+// go stale, appends simply mint new keys, and each Publish retires the
+// entries of epochs older than the one it replaces. The cache is enabled
+// by default with DefaultCacheMaxBytes; replacing the configuration
+// resets the counters and drops every resident entry. Safe to call from
+// any goroutine, though entries built under the old configuration are
+// lost, and a Watcher keeps using the cache instance captured when Watch
+// was called: a watcher created before a reconfiguration keeps inserting
+// its refreshed tables into the old cache, which Publish does not retire
+// (it retires only the graph's current cache), so only that cache's LRU
+// budget bounds it — reconfigure before creating watchers.
 func (g *Graph) SetCacheOptions(o CacheOptions) {
 	if o.Disable {
 		g.hub.cache.Store(nil)

@@ -53,8 +53,7 @@ func newGraph(tg *tgraph.Graph) *Graph {
 // with the live graph; see the internal Freeze documentation for the
 // memory model that makes the sharing safe. Snapshots need no explicit
 // release — a retired epoch is reclaimed by the garbage collector once the
-// last reader drops it (the refresh-table arenas inside a Watcher are
-// refcounted and recycled more aggressively; see Watcher).
+// last reader drops it, and so is a retired Watcher view.
 //
 // Appending to a Snapshot returns an error; append to the live Graph and
 // freeze again.

@@ -278,7 +278,7 @@ func TestCancelAllocSteady(t *testing.T) {
 }
 
 // TestCancelMidPatchRefresh cancels a watcher query whose stale view
-// forces an incremental patch refresh (the dyn.Index.Refresh path): the
+// forces an incremental patch refresh (the dyn.Index.RefreshAt path): the
 // cancellation must land inside vct.PatchScratchStop's settle loop and
 // surface promptly as ctx.Err(), the watcher must stay serviceable, and
 // an uncancelled retry must agree with a one-shot query.

@@ -207,13 +207,14 @@ func parseEdgeLine(line string) (Edge, error) {
 // (and implicit stale-repair) is writer-side — one goroutine at a time,
 // the same one that appends the graph. Query and Window are the read
 // path: they are safe from any number of goroutines concurrently with
-// the writer, and in steady state they are lock-free — each query pins
-// the current refcounted table view (built against a published graph
-// epoch) with one atomic operation, serves from it even if the writer
-// publishes newer views meanwhile, and releases it when done; a retired
-// view's arena is recycled when its last reader drains. Readers observe
-// batches atomically (a query sees a batch entirely or not at all) with
-// monotone visibility.
+// the writer, and in steady state they are lock-free — each query loads
+// the current table view (built against a published graph epoch) with
+// one atomic operation and serves from it even if the writer publishes
+// newer views meanwhile. A view's tables are never written after the
+// writer publishes them, so a query has nothing to release; the garbage
+// collector reclaims a view no query holds. Readers observe batches
+// atomically (a query sees a batch entirely or not at all) with monotone
+// visibility.
 //
 // The one exception to lock-freedom is repairing staleness caused by
 // appends that bypassed the watcher (direct Graph.Append): a reader then
@@ -306,32 +307,28 @@ func (w *Watcher) Append(edges ...Edge) (int, error) {
 	return n, w.dix.RefreshAt(ep.Graph.g, w.targetAt(ep.Graph.g), nil)
 }
 
-// acquireView pins the current table view for a reader, returning the
-// release closure the reader must call when done. The fast path — the view
-// is current — is lock-free. A stale view (the graph advanced without the
-// watcher noticing, i.e. a direct Graph.Append) is repaired under the
-// writer lock first; while a concurrent writer holds that lock the reader
-// instead serves the still-published previous epoch rather than blocking.
-// stop cancels a repair patch mid-settle (the caller maps vct.ErrStopped
-// to its context error).
-func (w *Watcher) acquireView(stop func() bool) (*dyn.View, func(), error) {
+// view returns the current table view for a reader. The fast path — the
+// view is current — is lock-free. A stale view (the graph advanced
+// without the watcher noticing, i.e. a direct Graph.Append) is repaired
+// under the writer lock first; while a concurrent writer holds that lock
+// the reader instead serves the still-published previous epoch rather
+// than blocking. stop cancels a repair patch mid-settle (the caller maps
+// vct.ErrStopped to its context error).
+func (w *Watcher) view(stop func() bool) (*dyn.View, error) {
 	for {
-		v, release := w.dix.Acquire()
+		v := w.dix.View()
 		if v.Seq == w.g.g.MutSeq() {
-			return v, release, nil
+			return v, nil
 		}
-		if w.mu.TryLock() {
-			release()
-		} else {
+		if !w.mu.TryLock() {
 			// A writer is mid-append or mid-refresh. Its batch becomes
 			// visible when it publishes; snapshot isolation lets us serve
 			// the current epoch-bound view meanwhile.
 			if v.G.Frozen() {
-				return v, release, nil
+				return v, nil
 			}
 			// The view is bound to the mutable graph (never-published
 			// usage): wait for the writer rather than race it.
-			release()
 			w.mu.Lock()
 		}
 		// Under the writer lock: repair if still stale, then retry. The
@@ -349,7 +346,7 @@ func (w *Watcher) acquireView(stop func() bool) (*dyn.View, func(), error) {
 		}
 		w.mu.Unlock()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 }
@@ -361,14 +358,13 @@ func (w *Watcher) K() int { return w.k }
 func (w *Watcher) Span() int64 { return w.span }
 
 // Window returns the raw time range the view currently covers. Like the
-// query methods it serves from the pinned view, so it is safe for
+// query methods it serves from the current view, so it is safe for
 // concurrent use with the writer.
 func (w *Watcher) Window() (start, end int64, err error) {
-	v, release, err := w.acquireView(nil)
+	v, err := w.view(nil)
 	if err != nil {
 		return 0, 0, err
 	}
-	defer release()
 	start, end = v.G.RawWindow(v.W)
 	return start, end, nil
 }

@@ -133,6 +133,40 @@ func TestAppendReaderFormats(t *testing.T) {
 	}
 }
 
+// FuzzParseEdgeLine drives arbitrary lines through ParseEdgeLine, which
+// parses the untrusted bodies of the HTTP append endpoint and every
+// AppendReader stream. Nothing may panic, an accepted line carries no
+// error, and an accepted edge re-encoded as "u v t" text and as NDJSON
+// parses back to the same edge.
+func FuzzParseEdgeLine(f *testing.F) {
+	// The lines of TestAppendReaderFormats.
+	for _, line := range []string{
+		"# comment", `{"u": 2, "v": 3, "t": 2}`, "", "3 4 2",
+		"% another comment", "1 4 9 3", `{"u": 4, "v": 2, "t": 4}`,
+		"5 6", `{"u": 5, "t": 9}`,
+	} {
+		f.Add(line)
+	}
+	f.Fuzz(func(t *testing.T, line string) {
+		e, ok, err := tkc.ParseEdgeLine(line)
+		if ok && err != nil {
+			t.Fatalf("ParseEdgeLine(%q) = ok with error %v", line, err)
+		}
+		if !ok {
+			return
+		}
+		for _, again := range []string{
+			fmt.Sprintf("%d %d %d", e.U, e.V, e.Time),
+			fmt.Sprintf(`{"u":%d,"v":%d,"t":%d}`, e.U, e.V, e.Time),
+		} {
+			e2, ok2, err2 := tkc.ParseEdgeLine(again)
+			if !ok2 || err2 != nil || e2 != e {
+				t.Fatalf("%q parsed to %+v; re-encoded %q parsed to %+v, ok %v, err %v", line, e, again, e2, ok2, err2)
+			}
+		}
+	})
+}
+
 // TestWatcherFollowsStream drives a watcher through random append batches
 // and checks every answer against a one-shot query on an equivalent
 // freshly built graph.

@@ -80,7 +80,7 @@ type HistoricalIndex struct {
 //     (epoch seq, indexed range): a repeat call on the same graph state is
 //     a warm hit costing one lookup, concurrent identical calls share one
 //     build (singleflight), and entries of retired epochs are dropped when
-//     the serving layer drains them.
+//     a newer epoch is published.
 //   - After an Append, the next call maintains the index incrementally: it
 //     re-settles only the dirty time-suffix past the previous index's
 //     frontier (falling back to a full build when the dirty region

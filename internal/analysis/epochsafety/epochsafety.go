@@ -9,8 +9,8 @@
 //	// tkc:frozensource
 //
 // marks a function or method whose first result is a frozen or pinned
-// view (tgraph.Graph.Freeze, Graph.Latest, Graph.pinned, the epoch
-// Guard's Acquire). Any value a caller obtains from such a function must
+// view (tgraph.Graph.Freeze, Graph.Latest, Graph.pinned,
+// dyn.Index.View). Any value a caller obtains from such a function must
 // never become the receiver of a method marked
 //
 //	// tkc:mutates
@@ -24,9 +24,11 @@
 //	// tkc:acquires [i]
 //
 // marks a function whose i-th result (default: the first func() result)
-// is a release closure that must be called exactly once. The analyzer
-// checks release-on-all-paths over the control-flow graph: every path
-// from the acquisition must call the closure, defer it, or transfer
+// is a release closure that must be called exactly once; no function in
+// the repository carries it today, and the analyzer's testdata keeps the
+// check tested for the next refcounted pin. The analyzer checks
+// release-on-all-paths over the control-flow graph: every path from the
+// acquisition must call the closure, defer it, or transfer
 // ownership (return it, store it, pass it on). When the acquiring call
 // also returns an ok bool, paths on which ok is false are exempt — the
 // release closure is nil there by contract.

@@ -55,22 +55,26 @@ func SigOf(items []int32) Sig128 {
 // Grow returns s with length n, reusing capacity when possible. The
 // returned slice contents are unspecified; callers must fully overwrite
 // them. It is the building block of the reusable scratch types that keep
-// the repeated-query hot paths allocation-free.
+// the repeated-query hot paths allocation-free. A grown buffer gets a
+// quarter of headroom, so one that a growing graph or a widening window
+// asks for a little more each time settles instead of reallocating on
+// every call.
 func Grow[T any](s []T, n int) []T {
 	if cap(s) >= n {
 		return s[:n]
 	}
-	return make([]T, n)
+	return make([]T, n, max(n, cap(s)+cap(s)/4))
 }
 
-// GrowZero returns s with length n and every element zeroed.
+// GrowZero returns s with length n and every element zeroed. It grows
+// with the same headroom as Grow.
 func GrowZero[T any](s []T, n int) []T {
 	if cap(s) >= n {
 		s = s[:n]
 		clear(s)
 		return s
 	}
-	return make([]T, n)
+	return make([]T, n, max(n, cap(s)+cap(s)/4))
 }
 
 // Queue is a simple FIFO of int32 values backed by a growable ring-free

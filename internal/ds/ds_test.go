@@ -177,6 +177,18 @@ func TestGrowReusesCapacity(t *testing.T) {
 	if len(g3) != 4 || &g3[0] != &g2[0] {
 		t.Error("Grow shrink reallocated")
 	}
+	// A small step past the capacity grows by a quarter of it, so the
+	// next few small steps fit; a large step grows to exactly n.
+	h := ds.Grow(make([]int32, 100), 101)
+	if len(h) != 101 || cap(h) != 125 {
+		t.Fatalf("len, cap = %d, %d after a small step; want 101, 125", len(h), cap(h))
+	}
+	if h2 := ds.Grow(h, 125); &h2[0] != &h[0] {
+		t.Error("Grow within headroom reallocated")
+	}
+	if h3 := ds.Grow(h, 1000); len(h3) != 1000 || cap(h3) != 1000 {
+		t.Fatalf("len, cap = %d, %d after a large step; want 1000, 1000", len(h3), cap(h3))
+	}
 }
 
 func TestGrowZeroClears(t *testing.T) {
@@ -198,6 +210,35 @@ func TestGrowZeroClears(t *testing.T) {
 	for i, v := range g2 {
 		if v != 0 {
 			t.Fatalf("g2[%d] = %d, want 0", i, v)
+		}
+	}
+	// A small step past a dirty buffer's capacity grows with Grow's
+	// headroom, and the grown buffer is zero, headroom included.
+	dirty := make([]int32, 100)
+	for i := range dirty {
+		dirty[i] = int32(i + 1)
+	}
+	h := ds.GrowZero(dirty, 101)
+	if len(h) != 101 || cap(h) != 125 {
+		t.Fatalf("len, cap = %d, %d after a small step; want 101, 125", len(h), cap(h))
+	}
+	for i, v := range h[:cap(h)] {
+		if v != 0 {
+			t.Fatalf("grown h[%d] = %d, want 0", i, v)
+		}
+	}
+	// Within the headroom, GrowZero reuses the array and zeroes what
+	// the caller dirtied.
+	for i := range h {
+		h[i] = 7
+	}
+	h2 := ds.GrowZero(h, 125)
+	if &h2[0] != &h[0] {
+		t.Error("GrowZero within headroom reallocated")
+	}
+	for i, v := range h2 {
+		if v != 0 {
+			t.Fatalf("h2[%d] = %d after GrowZero, want 0", i, v)
 		}
 	}
 }

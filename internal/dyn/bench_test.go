@@ -8,6 +8,7 @@ import (
 	"temporalkcore/internal/dyn"
 	"temporalkcore/internal/enum"
 	"temporalkcore/internal/gen"
+	"temporalkcore/internal/qcache"
 	"temporalkcore/internal/tgraph"
 	"temporalkcore/internal/vct"
 )
@@ -67,11 +68,12 @@ func BenchmarkAppendVsRebuild(b *testing.B) {
 			if _, err := g.Append(tail); err != nil {
 				b.Fatal(err)
 			}
-			if err := d.Refresh(trailing(g)); err != nil {
+			if err := d.RefreshAt(g, trailing(g), nil); err != nil {
 				b.Fatal(err)
 			}
-			sink := &enum.CountSink{}
-			d.Enumerate(sink)
+			v := d.View()
+			var es enum.Scratch
+			enum.EnumerateStop(v.G, v.Ecs, &enum.CountSink{}, &es, nil)
 		}
 	})
 
@@ -113,7 +115,7 @@ func BenchmarkPatchVsBuild(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.StartTimer()
-			if err := d.Refresh(trailing(g)); err != nil {
+			if err := d.RefreshAt(g, trailing(g), nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -142,14 +144,16 @@ func BenchmarkPatchVsBuild(b *testing.B) {
 
 // BenchmarkSteadyRefresh times a watcher's steady state, which
 // BenchmarkPatchVsBuild does not: there the patch is an index's first
-// refresh, on a cold arena. Here the 1% tail streams in 10-edge batches
-// and each op is one batch: "patch" times the Refresh of the trailing
-// window on warm arenas, "build" a vct.BuildScratch of the same window on
-// a warm Scratch. Appends are untimed. When the tail runs out the stream
-// restarts from the base graph, and the first two batches of every pass
-// are untimed warm-ups, so both sides time the same graph states: from
-// the third refresh on, an index alternates between two arenas it has
-// already grown.
+// refresh, on a cold Scratch. Here the 1% tail streams in 10-edge batches
+// and each op is one batch: "patch" times the RefreshAt of the trailing
+// window on the index's warm Scratch, "patch-cached" the same with a
+// 64 MiB serving cache attached, as Graph.Watch attaches one, so it also
+// times the insert of the published tables, and "build" times a
+// vct.BuildScratch of the same window on a warm Scratch. Appends are
+// untimed. When the tail runs out the stream restarts from the base graph
+// with a fresh index and cache, and the first two batches of every pass
+// are untimed warm-ups, so every side times the same graph states on a
+// Scratch that has already grown.
 func BenchmarkSteadyRefresh(b *testing.B) {
 	const k, batch, warmup = 8, 10, 2
 	base, tail := benchStream(b, 59835)
@@ -189,19 +193,28 @@ func BenchmarkSteadyRefresh(b *testing.B) {
 				}
 			}
 		}
-		b.Run(fmt.Sprintf("trailing%d/patch", pct), func(b *testing.B) {
-			var d *dyn.Index
-			run(b, func(g *tgraph.Graph) {
-				var err error
-				if d, err = dyn.New(g, k, window(g)); err != nil {
-					b.Fatal(err)
-				}
-			}, func(g *tgraph.Graph) {
-				if err := d.Refresh(window(g)); err != nil {
-					b.Fatal(err)
-				}
+		for _, cached := range []bool{false, true} {
+			name := fmt.Sprintf("trailing%d/patch", pct)
+			if cached {
+				name += "-cached"
+			}
+			b.Run(name, func(b *testing.B) {
+				var d *dyn.Index
+				run(b, func(g *tgraph.Graph) {
+					var err error
+					if d, err = dyn.New(g, k, window(g)); err != nil {
+						b.Fatal(err)
+					}
+					if cached {
+						d.SetCache(qcache.New(64 << 20))
+					}
+				}, func(g *tgraph.Graph) {
+					if err := d.RefreshAt(g, window(g), nil); err != nil {
+						b.Fatal(err)
+					}
+				})
 			})
-		})
+		}
 		b.Run(fmt.Sprintf("trailing%d/build", pct), func(b *testing.B) {
 			s := new(vct.Scratch)
 			run(b, func(*tgraph.Graph) {}, func(g *tgraph.Graph) {

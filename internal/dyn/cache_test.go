@@ -7,7 +7,6 @@ import (
 	"temporalkcore/internal/dyn"
 	"temporalkcore/internal/qcache"
 	"temporalkcore/internal/tgraph"
-	"temporalkcore/internal/vct"
 )
 
 // TestRefreshNoopOnRepublishedEpoch pins the stale-repair short-circuit:
@@ -53,7 +52,7 @@ func TestRefreshNoopOnRepublishedEpoch(t *testing.T) {
 	}
 
 	// The view must still answer correctly after the noop.
-	if got, want := countDyn(t, d), countQuery(t, g, 2, g.FullWindow()); got != want {
+	if got, want := countView(d.View()), countQuery(t, g, 2, g.FullWindow()); got != want {
 		t.Fatalf("after noop: %s != %s", got, want)
 	}
 }
@@ -108,7 +107,7 @@ func TestRefreshAdoptsCacheEntry(t *testing.T) {
 	if st := dAdopt.Stats(); st.CacheAdopts != 1 {
 		t.Fatalf("refresh with a resident entry did not adopt: %+v", st)
 	}
-	if got, want := countDyn(t, dAdopt), countQuery(t, fz, k, fz.FullWindow()); got != want {
+	if got, want := countView(dAdopt.View()), countQuery(t, fz, k, fz.FullWindow()); got != want {
 		t.Fatalf("adopted view answers differently: %s != %s", got, want)
 	}
 	if ent.Ix.Size() == 0 && ent.Ecs.Size() == 0 {
@@ -124,67 +123,7 @@ func TestRefreshAdoptsCacheEntry(t *testing.T) {
 	if err := dAdopt.RefreshAt(fz2, fz2.FullWindow(), nil); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := countDyn(t, dAdopt), countQuery(t, fz2, k, fz2.FullWindow()); got != want {
+	if got, want := countView(dAdopt.View()), countQuery(t, fz2, k, fz2.FullWindow()); got != want {
 		t.Fatalf("patch from adopted oracle diverged: %s != %s", got, want)
-	}
-}
-
-// TestDrainRetiresCacheEntries pins invalidation-by-drain: when a retired
-// view's last reader releases, cache entries of epochs strictly older than
-// the drained one are dropped (entries of the drained epoch itself survive
-// one more generation — a snapshot pinned to it may still query).
-func TestDrainRetiresCacheEntries(t *testing.T) {
-	r := rand.New(rand.NewSource(13))
-	edges := randomEdges(r, 10, 180)
-	cut := len(edges) / 3
-	g, err := tgraph.FromRawEdges(edges[:cut])
-	if err != nil {
-		t.Fatal(err)
-	}
-	const k = 2
-	d, err := dyn.New(g, k, g.FullWindow())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := qcache.New(1 << 20)
-	d.SetCache(c)
-
-	// Seed an entry at the pre-append epoch seq.
-	oldKey := qcache.Key{Seq: g.MutSeq(), K: k, W: tgraph.Window{Start: 1, End: 1}}
-	ix, ecs, err := vct.Build(g, k, oldKey.W)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Add(oldKey, qcache.NewEntry(ix, ecs, 0))
-
-	// First append: the refresh retires the initial view. Pin the new view
-	// so the NEXT retirement's drain timing is observable.
-	if _, err := g.Append(edges[cut : 2*cut]); err != nil {
-		t.Fatal(err)
-	}
-	fz1 := g.Freeze()
-	if err := d.RefreshAt(fz1, fz1.FullWindow(), nil); err != nil {
-		t.Fatal(err)
-	}
-	_, release := d.Acquire() // pins the seq-1 view
-	if _, ok := c.Probe(oldKey); !ok {
-		t.Fatal("seq-0 entry dropped too early (only the seq-0 view drained so far)")
-	}
-
-	// Second append: the pinned seq-1 view is retired but must not drain —
-	// and therefore must not retire the seq-0 entry — until released.
-	if _, err := g.Append(edges[2*cut:]); err != nil {
-		t.Fatal(err)
-	}
-	fz2 := g.Freeze()
-	if err := d.RefreshAt(fz2, fz2.FullWindow(), nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := c.Probe(oldKey); !ok {
-		t.Fatal("entry dropped while a reader still pinned the seq-1 view")
-	}
-	release() // last reader of the seq-1 view: drain retires seqs < 1
-	if _, ok := c.Probe(oldKey); ok {
-		t.Fatal("drained view did not retire older epochs' cache entries")
 	}
 }

@@ -4,11 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"temporalkcore/internal/core"
 	"temporalkcore/internal/dyn"
 	"temporalkcore/internal/enum"
+	"temporalkcore/internal/qcache"
 	"temporalkcore/internal/tgraph"
 	"temporalkcore/internal/vct"
 )
@@ -25,12 +27,13 @@ func countQuery(t *testing.T, g *tgraph.Graph, k int, w tgraph.Window) string {
 	return fmt.Sprintf("cores=%d edges=%d vct=%d ecs=%d", sink.Cores, sink.EdgeTotal, st.VCTSize, st.ECSSize)
 }
 
-// countDyn renders the same dimensions out of a dyn.Index.
-func countDyn(t *testing.T, d *dyn.Index) string {
-	t.Helper()
+// countView renders the same dimensions out of a View by enumerating it
+// with a private scratch, the way concurrent readers do.
+func countView(v *dyn.View) string {
 	sink := &enum.CountSink{}
-	d.Enumerate(sink)
-	return fmt.Sprintf("cores=%d edges=%d vct=%d ecs=%d", sink.Cores, sink.EdgeTotal, d.VCT().Size(), d.ECS().Size())
+	var s enum.Scratch
+	enum.EnumerateStop(v.G, v.Ecs, sink, &s, nil)
+	return fmt.Sprintf("cores=%d edges=%d vct=%d ecs=%d", sink.Cores, sink.EdgeTotal, v.Ix.Size(), v.Ecs.Size())
 }
 
 func randomEdges(r *rand.Rand, n, m int) []tgraph.RawEdge {
@@ -74,10 +77,10 @@ func TestIndexFollowsAppends(t *testing.T) {
 			// Trailing window: last ~half of the ranks.
 			w := tgraph.Window{Start: 1 + g.TMax()/2, End: g.TMax()}
 			for _, win := range []tgraph.Window{g.FullWindow(), w} {
-				if err := d.Refresh(win); err != nil {
+				if err := d.RefreshAt(g, win, nil); err != nil {
 					t.Fatalf("seed %d: Refresh(%v): %v", seed, win, err)
 				}
-				if got, want := countDyn(t, d), countQuery(t, g, k, win); got != want {
+				if got, want := countView(d.View()), countQuery(t, g, k, win); got != want {
 					t.Fatalf("seed %d k=%d w=%v after append: dyn %q != one-shot %q", seed, k, win, got, want)
 				}
 			}
@@ -116,10 +119,10 @@ func TestIndexShortCachedWindow(t *testing.T) {
 		if _, err := g.Append(edges[cut:]); err != nil {
 			t.Fatal(err)
 		}
-		if err := d.Refresh(g.FullWindow()); err != nil {
+		if err := d.RefreshAt(g, g.FullWindow(), nil); err != nil {
 			t.Fatal(err)
 		}
-		if got, want := countDyn(t, d), countQuery(t, g, k, g.FullWindow()); got != want {
+		if got, want := countView(d.View()), countQuery(t, g, k, g.FullWindow()); got != want {
 			t.Fatalf("seed %d: refresh from short cached window %v: dyn %q != one-shot %q", seed, short, got, want)
 		}
 	}
@@ -133,10 +136,10 @@ func TestIndexNoopAndStale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Stale(g.FullWindow()) {
+	if d.StaleAt(g, g.FullWindow()) {
 		t.Fatal("fresh index reported stale")
 	}
-	if err := d.Refresh(g.FullWindow()); err != nil {
+	if err := d.RefreshAt(g, g.FullWindow(), nil); err != nil {
 		t.Fatal(err)
 	}
 	if st := d.Stats(); st.Noops != 1 {
@@ -145,79 +148,132 @@ func TestIndexNoopAndStale(t *testing.T) {
 	if _, err := g.Append([]tgraph.RawEdge{{U: 1, V: 4, Time: 5}}); err != nil {
 		t.Fatal(err)
 	}
-	if !d.Stale(g.FullWindow()) {
+	if !d.StaleAt(g, g.FullWindow()) {
 		t.Fatal("index not stale after append")
 	}
-	if err := d.Refresh(tgraph.Window{Start: 1, End: g.TMax() + 1}); err == nil {
+	if err := d.RefreshAt(g, tgraph.Window{Start: 1, End: g.TMax() + 1}, nil); err == nil {
 		t.Fatal("refresh beyond TMax succeeded")
 	}
-	if err := d.Refresh(g.FullWindow()); err != nil {
+	if err := d.RefreshAt(g, g.FullWindow(), nil); err != nil {
 		t.Fatal(err)
 	}
-	if d.Stale(g.FullWindow()) {
+	if d.StaleAt(g, g.FullWindow()) {
 		t.Fatal("index stale after refresh")
 	}
 }
 
-// countView renders the dimensions of a pinned View by enumerating it
-// with a private scratch, the way concurrent readers do.
-func countView(v *dyn.View) string {
-	sink := &enum.CountSink{}
-	var s enum.Scratch
-	enum.EnumerateStop(v.G, v.Ecs, sink, &s, nil)
-	return fmt.Sprintf("cores=%d edges=%d vct=%d ecs=%d", sink.Cores, sink.EdgeTotal, v.Ix.Size(), v.Ecs.Size())
-}
-
-// TestViewPinnedAcrossRefreshes: a pinned View must keep answering for its
+// TestViewPinnedAcrossRefreshes: a held View must keep answering for its
 // own epoch byte-identically while the writer appends, freezes and
-// refreshes through several newer generations (whose arenas would have
-// overwritten a naive ping-pong pair).
+// refreshes through several newer generations on the index's one patch
+// Scratch. In the evicting-cache case each View shares its tables with a
+// serving-cache entry, and every entry but the last is dropped while its
+// View is still held: the budget fits one entry, so a refresh's insert
+// evicts the previous entry, and every second refresh's entry is retired
+// with RetireBelow before the next refresh. A reader goroutine per View
+// counts it until the writer is done, so under -race a write to published
+// tables is reported.
 func TestViewPinnedAcrossRefreshes(t *testing.T) {
+	const k = 2
 	r := rand.New(rand.NewSource(11))
 	edges := randomEdges(r, 15, 400)
-	g, err := tgraph.FromRawEdges(edges[:150])
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := dyn.New(g, 2, g.FullWindow())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	type pinned struct {
-		v       *dyn.View
-		release func()
-		want    string
-	}
-	var pins []pinned
-	for i := 150; i < len(edges); i += 50 {
-		fz := g.Freeze()
-		if err := d.RefreshAt(fz, fz.FullWindow(), nil); err != nil {
+	// The refreshes below see the graph at 150, 200, ... 350 edges. The
+	// budget admits the largest of their entries.
+	var budget int64
+	for n := 150; n < len(edges); n += 50 {
+		gn, err := tgraph.FromRawEdges(edges[:n])
+		if err != nil {
 			t.Fatal(err)
 		}
-		v, release := d.Acquire()
-		if v.G != fz || !v.G.Frozen() {
-			t.Fatal("published View not bound to the frozen epoch")
-		}
-		pins = append(pins, pinned{v: v, release: release, want: countView(v)})
-
-		j := min(i+50, len(edges))
-		if _, err := g.Append(edges[i:j]); err != nil {
+		ix, ecs, err := vct.Build(gn, k, gn.FullWindow())
+		if err != nil {
 			t.Fatal(err)
 		}
-		for pi, p := range pins {
-			if got := countView(p.v); got != p.want {
-				t.Fatalf("pinned view %d changed under later refreshes:\n got %s\nwant %s", pi, got, p.want)
+		budget = max(budget, qcache.NewEntry(ix, ecs, 0).Bytes)
+	}
+
+	for _, cached := range []bool{false, true} {
+		name := "no-cache"
+		if cached {
+			name = "evicting-cache"
+		}
+		t.Run(name, func(t *testing.T) {
+			g, err := tgraph.FromRawEdges(edges[:150])
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	// Each pinned view must also match a quiesced one-shot rebuild of its
-	// own epoch.
-	for pi, p := range pins {
-		if got, want := countView(p.v), countQuery(t, p.v.G, d.K(), p.v.W); got != want {
-			t.Fatalf("pinned view %d: %q != quiesced rebuild %q", pi, got, want)
-		}
-		p.release()
+			d, err := dyn.New(g, k, g.FullWindow())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var c *qcache.Cache
+			if cached {
+				c = qcache.New(budget)
+				d.SetCache(c)
+			}
+
+			type held struct {
+				v    *dyn.View
+				want string
+			}
+			var views []held
+			done := make(chan struct{})
+			var readers sync.WaitGroup
+			for i := 150; i < len(edges); i += 50 {
+				fz := g.Freeze()
+				if err := d.RefreshAt(fz, fz.FullWindow(), nil); err != nil {
+					t.Fatal(err)
+				}
+				v := d.View()
+				if v.G != fz || !v.G.Frozen() {
+					t.Fatal("published View not bound to the frozen epoch")
+				}
+				want := countView(v)
+				views = append(views, held{v: v, want: want})
+				readers.Add(1)
+				go func() {
+					defer readers.Done()
+					for {
+						if got := countView(v); got != want {
+							t.Errorf("view of seq %d changed under a reader:\n got %s\nwant %s", v.Seq, got, want)
+							return
+						}
+						select {
+						case <-done:
+							return
+						default:
+						}
+					}
+				}()
+				if cached && len(views)%2 == 0 {
+					c.RetireBelow(v.Seq + 1)
+				}
+
+				j := min(i+50, len(edges))
+				if _, err := g.Append(edges[i:j]); err != nil {
+					t.Fatal(err)
+				}
+				for vi, h := range views {
+					if got := countView(h.v); got != h.want {
+						t.Fatalf("view %d changed under later refreshes:\n got %s\nwant %s", vi, got, h.want)
+					}
+				}
+			}
+			close(done)
+			readers.Wait()
+			if cached {
+				st := c.Stats()
+				if st.Evictions == 0 || st.Retired == 0 || st.Evictions+st.Retired != int64(len(views)-1) || st.Oversize != 0 {
+					t.Fatalf("cache stats %+v: want every entry but the last evicted or retired, none oversize", st)
+				}
+			}
+			// Each view must also match a quiesced one-shot rebuild of its
+			// own epoch.
+			for vi, h := range views {
+				if got, want := countView(h.v), countQuery(t, h.v.G, k, h.v.W); got != want {
+					t.Fatalf("view %d: %q != quiesced rebuild %q", vi, got, want)
+				}
+			}
+		})
 	}
 }
 
@@ -234,7 +290,7 @@ func TestRefreshAtStop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := countDyn(t, d)
+	before := countView(d.View())
 	if _, err := g.Append(edges[200:]); err != nil {
 		t.Fatal(err)
 	}
@@ -245,13 +301,13 @@ func TestRefreshAtStop(t *testing.T) {
 	if !errors.Is(err, vct.ErrStopped) {
 		t.Fatalf("cancelled refresh = %v, want vct.ErrStopped", err)
 	}
-	if got := countDyn(t, d); got != before {
+	if got := countView(d.View()); got != before {
 		t.Fatalf("cancelled refresh disturbed the current view: %q != %q", got, before)
 	}
 	if err := d.RefreshAt(g, g.FullWindow(), nil); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := countDyn(t, d), countQuery(t, g, d.K(), g.FullWindow()); got != want {
+	if got, want := countView(d.View()), countQuery(t, g, 2, g.FullWindow()); got != want {
 		t.Fatalf("refresh after a cancelled refresh: %q != %q", got, want)
 	}
 }

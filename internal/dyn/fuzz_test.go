@@ -33,7 +33,8 @@ func decodeStream(data []byte) (edges []tgraph.RawEdge, batches int) {
 }
 
 // countAll renders the full observable result of count queries for a range
-// of k values into one string, so equivalence checks are byte-exact.
+// of k values, plus the index's own view, into one string, so equivalence
+// checks are byte-exact.
 func countAll(g *tgraph.Graph, d *dyn.Index) (string, error) {
 	out := ""
 	w := g.FullWindow()
@@ -46,9 +47,7 @@ func countAll(g *tgraph.Graph, d *dyn.Index) (string, error) {
 		out += fmt.Sprintf("k=%d cores=%d edges=%d vct=%d ecs=%d\n", k, sink.Cores, sink.EdgeTotal, st.VCTSize, st.ECSSize)
 	}
 	if d != nil {
-		sink := &enum.CountSink{}
-		d.Enumerate(sink)
-		out += fmt.Sprintf("dyn k=%d cores=%d edges=%d vct=%d ecs=%d\n", d.K(), sink.Cores, sink.EdgeTotal, d.VCT().Size(), d.ECS().Size())
+		out += "dyn " + countView(d.View()) + "\n"
 	}
 	return out, nil
 }
@@ -88,7 +87,7 @@ func FuzzAppendEquivalence(f *testing.F) {
 			if _, err := g.Append(edges[i:j]); err != nil {
 				t.Fatalf("Append(%d:%d): %v", i, j, err)
 			}
-			if err := d.Refresh(g.FullWindow()); err != nil {
+			if err := d.RefreshAt(g, g.FullWindow(), nil); err != nil {
 				t.Fatalf("Refresh: %v", err)
 			}
 		}

@@ -6,7 +6,8 @@
 // function of the key — entries never go stale, they only stop being asked
 // for. That makes invalidation structural: new epochs produce new keys,
 // and retired epochs' entries are dropped by RetireBelow when the serving
-// layer drains them (plus byte-bounded LRU eviction for everything else).
+// layer publishes a newer epoch (plus byte-bounded LRU eviction for
+// everything else).
 //
 // The cache also deduplicates concurrent identical builds (singleflight):
 // when N goroutines miss on the same key at once, one runs the build and
@@ -123,7 +124,7 @@ type Stats struct {
 	Misses             int64 // lookups that ran a build
 	SingleflightShared int64 // lookups that waited on another goroutine's build
 	Evictions          int64 // entries dropped by the LRU byte bound
-	Retired            int64 // entries dropped because their epoch drained
+	Retired            int64 // entries dropped because their epoch was retired
 	Oversize           int64 // built entries refused admission (larger than the budget)
 
 	Entries int   // resident entries
@@ -180,8 +181,8 @@ func (c *Cache) MaxBytes() int64 { return c.max } // immutable after New
 
 // Admits reports whether an entry whose tables estimate to tableBytes
 // (before the fixed per-entry overhead) could be admitted at all. Callers
-// that must pay a copy to produce a self-owned entry (the watcher's
-// insert path) check this first so oversize tables skip the copy.
+// that Add entries they built for their own use (the watcher's refresh)
+// check this first, so tables too large to admit count no Oversize.
 func (c *Cache) Admits(tableBytes int64) bool { return tableBytes+entryOverhead <= c.max }
 
 // Probe returns the resident entry for key, if any, promoting it to most
@@ -306,9 +307,9 @@ func isCancel(err error) bool {
 }
 
 // RetireBelow drops every resident entry whose epoch sequence number is
-// below seq. The serving layer calls it when an epoch drains (no reader
-// can pin it anymore), so a retired epoch's entries stop occupying budget
-// without waiting for LRU pressure. Retirement is advisory, not a ban: a
+// below seq. The serving layer calls it when it publishes a newer epoch
+// (no Latest call can return a retired one), so a retired epoch's entries
+// stop occupying budget without waiting for LRU pressure. Retirement is advisory, not a ban: a
 // long-held snapshot that queries a retired epoch rebuilds on miss and
 // re-inserts — an insert below the floor implies an active querier, and
 // the next retirement simply drops it again. The floor is monotone: calls

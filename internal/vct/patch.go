@@ -29,10 +29,11 @@ import (
 // backwards past the indexed start still reuses the clean overlap instead
 // of rebuilding everything.
 //
-// cached must not be backed by s (ping-pong two Scratch values to patch an
-// index in a loop). The returned Index and ECS are backed by s exactly as
-// in BuildScratch. patched reports whether the cache was usable; when it is
-// false a full BuildScratch ran instead.
+// cached must not be backed by s: to patch an index in a loop on one
+// Scratch, Clone each output before the next patch, as package dyn does.
+// The returned Index and ECS are backed by s exactly as in BuildScratch.
+// patched reports whether the cache was usable; when it is false a full
+// BuildScratch ran instead.
 func PatchScratch(g *tgraph.Graph, k int, w tgraph.Window, cached *Index, dirtyFrom tgraph.TS, s *Scratch) (ix *Index, ecs *ECS, patched bool, err error) {
 	return PatchScratchStop(g, k, w, cached, dirtyFrom, s, nil)
 }

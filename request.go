@@ -389,7 +389,7 @@ func (s *projSink) project(tti tgraph.Window, eids []tgraph.EID) Core {
 
 // enumerate is the one executor of every Enum request: one-shot, prepared,
 // watcher and sharded. It takes the CoreTime skylines from the request's
-// source (the prepared tables, the watcher's pinned view, or the window's
+// source (the prepared tables, the watcher's current view, or the window's
 // tables; see tables) and enumerates them into sink in the caller's
 // goroutine; an unlimited count runs enum.CountStop over them instead. A
 // sharded request runs exactly as an unsharded one on the view's pinned
@@ -417,11 +417,10 @@ func (r *Request) enumerate(ctx context.Context, qs *QueryStats, sink *projSink)
 		ix, ecs = r.prep.ix, r.prep.ecs
 	case r.watch != nil:
 		// A stale view is repaired (incrementally patched) first.
-		v, release, err := r.watch.acquireView(stop)
+		v, err := r.watch.view(stop)
 		if err != nil {
 			return core.StopErr(ctx, err)
 		}
-		defer release()
 		ix, ecs, sink.g = v.Ix, v.Ecs, v.G
 	default:
 		vs := vct.GetScratch()
