@@ -24,11 +24,13 @@ type CacheOptions struct {
 	MaxBytes int64
 
 	// Disable turns the cache off: every query runs its own CoreTime
-	// phase on pooled scratch (the pre-cache behaviour). Disable when the
-	// workload never repeats an (epoch, k, window) combination — a
-	// one-shot analytical sweep over distinct windows — so misses don't
-	// pay the cache's insert-and-evict bookkeeping for entries nothing
-	// will ever hit.
+	// phase on pooled scratch (the pre-cache behaviour). A sweep over
+	// distinct windows gains from the cache even though no window
+	// repeats: once its window builds at an (epoch, k) have paid for the
+	// full range's tables, each later window is cut from them instead of
+	// built (QueryStats.Cut), about 3x faster on the paper's Figure 6
+	// windows. Disabling forfeits that; disable only to bound memory to
+	// the query's own scratch.
 	Disable bool
 }
 
@@ -46,6 +48,11 @@ type CacheStats struct {
 	// budget and were refused admission; repeat queries on such keys take
 	// the uncached pooled-scratch path instead of rebuilding.
 	Oversize int64
+	// Cuts counts queries answered from the full-range entry of their
+	// (epoch, k), cut to their window, because their own entry was not
+	// resident (QueryStats.Cut). A cut is no hit; the query that builds
+	// the full-range entry counts a miss and a cut.
+	Cuts int64
 
 	Entries int   // resident entries
 	Bytes   int64 // estimated resident bytes
@@ -56,7 +63,11 @@ type CacheStats struct {
 // — the vertex core time index and edge core window skylines, not
 // materialised cores — keyed by (epoch seq, k, window, algorithm), so a
 // repeated serving query on the same epoch skips the CoreTime phase
-// entirely and pays only the output-proportional enumeration.
+// entirely and pays only the output-proportional enumeration. A window's
+// tables are also the full range's tables cut to the window, so once the
+// window builds at an (epoch, k) have cost what the full range's build is
+// predicted to, the next cold window there builds the full range's entry
+// instead, and later cold windows are cut from it (see Request.Count).
 //
 // Keys embed the epoch sequence number (see Snapshot.Seq), which on an
 // append-only graph identifies the graph state exactly: entries can never
@@ -98,6 +109,7 @@ func (g *Graph) CacheStats() CacheStats {
 		Evictions:          st.Evictions,
 		Retired:            st.Retired,
 		Oversize:           st.Oversize,
+		Cuts:               st.Cuts,
 		Entries:            st.Entries,
 		Bytes:              st.Bytes,
 	}

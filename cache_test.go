@@ -534,14 +534,16 @@ func TestCacheEvictionKeepsServing(t *testing.T) {
 	lo, hi := g.TimeSpan()
 	span := hi - lo
 
-	// Size the budget off a real entry: room for ~3 full-window entries, so
-	// a dozen distinct windows must cycle through eviction.
+	// Size the budget off a real entry: just under the full window's, so
+	// the full range is never admitted and no window is cut from it
+	// (cut_test.go covers cuts). The sweep's dozen distinct windows, each
+	// at least half the full window, must cycle through eviction.
 	ctxBg := context.Background()
 	if _, err := g.Query(2).Window(lo, hi).Count(ctxBg); err != nil {
 		t.Fatal(err)
 	}
-	budget := 3 * g.CacheStats().Bytes
-	if budget == 0 {
+	budget := g.CacheStats().Bytes - 1
+	if budget <= 0 {
 		t.Fatal("sizing query cached nothing")
 	}
 	g.SetCacheOptions(tkc.CacheOptions{MaxBytes: budget})
@@ -563,7 +565,7 @@ func TestCacheEvictionKeepsServing(t *testing.T) {
 	}
 	cs := g.CacheStats()
 	if cs.Evictions == 0 {
-		t.Errorf("12 windows under a ~3-entry budget evicted nothing: %+v", cs)
+		t.Errorf("12 windows under a budget below the full window's entry evicted nothing: %+v", cs)
 	}
 	if cs.Bytes > budget {
 		t.Errorf("resident bytes %d exceed the %d budget", cs.Bytes, budget)

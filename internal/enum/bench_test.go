@@ -39,7 +39,9 @@ func benchSetup(b *testing.B, code string, edges int) (*tgraph.Graph, *vct.ECS) 
 // start, O(edges in range + start times swept), not O(|ECS|). The -count
 // cases take the same totals from CountStop's per-start-time aggregates,
 // the unlimited Count path: O(m + |ECS| log tlen + tlen), independent of
-// |R|.
+// |R|. The -cut cases count a window of 10% of tmax in the middle of the
+// range from the full range's skyline, as a serving-cache cut does: the
+// -count sweep over the window's runs, after a binary search per edge.
 func BenchmarkEnumerate(b *testing.B) {
 	for _, code := range []string{"CM", "PL"} {
 		b.Run(code, func(b *testing.B) {
@@ -83,6 +85,21 @@ func BenchmarkEnumerate(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				_, edges, _ = enum.CountStop(ecs, s, nil)
+			}
+			b.ReportMetric(float64(edges), "R-edges")
+		})
+		b.Run(code+"-cut", func(b *testing.B) {
+			g, ecs := benchSetup(b, code, 5000)
+			tmax := g.TMax()
+			start := 1 + tmax*45/100
+			w := tgraph.Window{Start: start, End: start + max(tmax/10, 1) - 1}
+			s := enum.GetScratch()
+			defer enum.PutScratch(s)
+			_, edges, _ := enum.CountWindowStop(g, ecs, w, s, nil) // warm the scratch
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_, edges, _ = enum.CountWindowStop(g, ecs, w, s, nil)
 			}
 			b.ReportMetric(float64(edges), "R-edges")
 		})

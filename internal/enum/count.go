@@ -58,7 +58,20 @@ func leafAgg(c int32) endAgg {
 //
 // tkc:cancellable
 func CountStop(ecs *vct.ECS, s *Scratch, stop func() bool) (cores, edges int64, cancelled bool) {
-	return countSplit(ecs, s, stop, countSplitAt(ecs))
+	sp := whole(ecs)
+	return countSplit(sp, s, stop, countSplitAt(sp))
+}
+
+// CountWindowStop is CountStop over the skyline of the window w cut from
+// ecs in place, as EnumerateWindowStop reads it: it returns what
+// CountStop returns over a build of w, and splits the same way. w must
+// lie inside ecs.Range, and g must be the graph state ecs was built on.
+// w == ecs.Range is CountStop.
+//
+// tkc:cancellable
+func CountWindowStop(g *tgraph.Graph, ecs *vct.ECS, w tgraph.Window, s *Scratch, stop func() bool) (cores, edges int64, cancelled bool) {
+	sp := cutTo(g, ecs, w)
+	return countSplit(sp, s, stop, countSplitAt(sp))
 }
 
 // minSplitWindows is the smallest skyline, in windows, whose count splits.
@@ -67,38 +80,51 @@ func CountStop(ecs *vct.ECS, s *Scratch, stop func() bool) (cores, edges int64, 
 // paper-scale CM replica a split count broke even at about 3,000 windows.
 const minSplitWindows = 4000
 
-// countSplitAt picks the start time a count over ecs splits at, or 0 for
+// countSplitAt picks the start time a count over sp splits at, or 0 for
 // one sweep: at GOMAXPROCS 1, where the two sweeps could not run at once,
 // and when the skyline is too small to split. The first sweep loads every
 // edge and the whole end range, so the split sits at 9/20 of the start
 // times, where the two sweeps took equally long on the paper-scale CM
 // replica's Figure 6 windows.
-func countSplitAt(ecs *vct.ECS) tgraph.TS {
-	w := ecs.Range
-	if runtime.GOMAXPROCS(0) < 2 || ecs.Size() < minSplitWindows || w.Start == w.End {
+func countSplitAt(sp span) tgraph.TS {
+	w := sp.w
+	if runtime.GOMAXPROCS(0) < 2 || w.Start == w.End || !sp.atLeast(minSplitWindows) {
 		return 0
 	}
 	return w.Start + tgraph.TS(max(1, int(w.End-w.Start+1)*9/20))
+}
+
+// atLeast reports whether sp holds at least n windows. A cut sums its
+// runs only until they reach n.
+func (sp span) atLeast(n int) bool {
+	if sp.w == sp.ecs.Range {
+		return sp.ecs.Size() >= n
+	}
+	for i := 1; i <= int(sp.hi-sp.lo) && n > 0; i++ {
+		a, b := sp.run(i, sp.w.Start)
+		n -= int(b - a)
+	}
+	return n <= 0
 }
 
 // countSplit sums the sweeps of the start times [Ts, mid−1] on s and
 // [mid, Te] on a helper goroutine with a Scratch of its own; mid == 0
 // sweeps [Ts, Te] once. Both sweeps end before either Scratch is reused,
 // on every path.
-func countSplit(ecs *vct.ECS, s *Scratch, stop func() bool, mid tgraph.TS) (cores, edges int64, cancelled bool) {
-	w := ecs.Range
+func countSplit(sp span, s *Scratch, stop func() bool, mid tgraph.TS) (cores, edges int64, cancelled bool) {
+	w := sp.w
 	if mid == 0 {
-		return sweep(ecs, s, stop, w.Start, w.End)
+		return sweep(sp, s, stop, w.Start, w.End)
 	}
 	if s.half == nil {
 		s.half = &helper{}
 		s.half.Bind(s.half.sweep)
 	}
 	h := s.half
-	h.ecs, h.stop, h.from = ecs, stop, mid
+	h.sp, h.stop, h.from = sp, stop, mid
 	h.Start()
 	defer h.Join()
-	cores, edges, cancelled = sweep(ecs, s, stop, w.Start, mid-1)
+	cores, edges, cancelled = sweep(sp, s, stop, w.Start, mid-1)
 	h.Wait()
 	return cores + h.cores, edges + h.edges, cancelled || h.cancelled
 }
@@ -109,7 +135,7 @@ type helper struct {
 	Scratch
 	spare.Helper
 
-	ecs          *vct.ECS
+	sp           span
 	stop         func() bool
 	from         tgraph.TS
 	cores, edges int64
@@ -120,20 +146,20 @@ type helper struct {
 // It drops its references to the skyline and the hook, so a Scratch kept
 // for reuse does not keep them alive.
 func (h *helper) sweep() {
-	ecs, stop := h.ecs, h.stop
-	h.ecs, h.stop = nil, nil
-	h.cores, h.edges, h.cancelled = sweep(ecs, &h.Scratch, stop, h.from, ecs.Range.End)
+	sp, stop := h.sp, h.stop
+	h.sp, h.stop = span{}, nil
+	h.cores, h.edges, h.cancelled = sweep(sp, &h.Scratch, stop, h.from, sp.w.End)
 }
 
-// sweep counts the cores and |R| of the start times [first, last]. Each
-// edge starts at its first window that starts at or after first, the one
-// live at first (Definition 6); the tree spans the end offsets from first
-// to Te.
-func sweep(ecs *vct.ECS, s *Scratch, stop func() bool, first, last tgraph.TS) (cores, edges int64, cancelled bool) {
-	tlen := int(ecs.Range.End-first) + 1
-	lo, hi := ecs.EdgeRange()
-	m := int(hi - lo)
-	off, wins := ecs.Flat()
+// sweep counts the cores and |R| of the start times [first, last] of sp.
+// Each edge starts at its first window that starts at or after first, the
+// one live at first (Definition 6); the tree spans the end offsets from
+// first to Te.
+func sweep(sp span, s *Scratch, stop func() bool, first, last tgraph.TS) (cores, edges int64, cancelled bool) {
+	tlen := int(sp.w.End-first) + 1
+	m := int(sp.hi - sp.lo)
+	off, wins := sp.ecs.Flat()
+	cut := first != sp.ecs.Range.Start || sp.w != sp.ecs.Range
 
 	// The tree has a power-of-two number of leaves, one per end offset;
 	// node i's children are 2i and 2i+1, and node 1 aggregates every live
@@ -144,10 +170,12 @@ func sweep(ecs *vct.ECS, s *Scratch, stop func() bool, first, last tgraph.TS) (c
 	slots := ds.Grow(s.slots, m+1)
 	cal := ds.GrowZero(s.cal, tlen)
 	defer func() { s.slots, s.cal, s.tree = slots, cal, tree }()
+	n := 0 // windows in a cut's runs
 	for i := 1; i <= m; i++ {
 		a, b := off[i-1], off[i]
-		for a < b && wins[a].Start < first {
-			a++
+		if cut {
+			a, b = sp.run(i, first)
+			n += int(b - a)
 		}
 		if a == b {
 			continue
@@ -156,6 +184,10 @@ func sweep(ecs *vct.ECS, s *Scratch, stop func() bool, first, last tgraph.TS) (c
 		slots[i].cur, slots[i].lim = a, b
 		file(slots, cal, wins, int32(i), int(win.Start-first))
 		tree[leaves+int(win.End-first)].cnt++
+	}
+	s.windows = sp.ecs.Size()
+	if cut {
+		s.windows = n
 	}
 	for i := leaves; i < 2*leaves; i++ {
 		tree[i] = leafAgg(tree[i].cnt)

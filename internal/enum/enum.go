@@ -1,6 +1,7 @@
 package enum
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"slices"
@@ -42,6 +43,10 @@ type Scratch struct {
 	edgeBuf []tgraph.EID
 	tree    []endAgg // CountStop's segment tree over end offsets
 
+	// windows is the size of the skyline the last enumeration or count
+	// read; see Windows.
+	windows int
+
 	// half runs the later sweep of a split count (see countSplit), kept
 	// with this Scratch as vct.Scratch keeps its own.
 	half *helper
@@ -80,6 +85,13 @@ func EnumerateWith(g *tgraph.Graph, ecs *vct.ECS, sink Sink, s *Scratch) bool {
 	return done
 }
 
+// Windows returns |ECS| of the window the last enumeration or count on s
+// read, which for EnumerateWindowStop and CountWindowStop is the summed
+// length of its edges' runs: what a build of the window would hold. The
+// set-up counts it before the sweep, so it is whole also after an early
+// stop or a cancellation.
+func (s *Scratch) Windows() int { return s.windows }
+
 // stopStride bounds how many start times the enumeration advances between
 // cancellation polls.
 const stopStride = 64
@@ -97,11 +109,65 @@ const stopStride = 64
 //
 // tkc:cancellable
 func EnumerateStop(g *tgraph.Graph, ecs *vct.ECS, sink Sink, s *Scratch, stop func() bool) (done, cancelled bool) {
-	w := ecs.Range
-	tlen := int(w.End-w.Start) + 1
+	return enumerate(whole(ecs), sink, s, stop)
+}
+
+// EnumerateWindowStop is EnumerateStop over the skyline of the window w
+// cut from ecs in place ("Cut" in the vct package documentation): each of
+// w's edges starts at its first window that starts at or after w.Start
+// and stops before its first window that ends after w.End. w must lie
+// inside ecs.Range, and g must be the graph state ecs was built on. It
+// emits what EnumerateStop emits over a build of w, cores and edge order
+// alike, after an O(m_w log d) set-up for the m_w edges of w and their
+// skylines of at most d windows. w == ecs.Range is EnumerateStop.
+//
+// tkc:cancellable
+func EnumerateWindowStop(g *tgraph.Graph, ecs *vct.ECS, w tgraph.Window, sink Sink, s *Scratch, stop func() bool) (done, cancelled bool) {
+	return enumerate(cutTo(g, ecs, w), sink, s, stop)
+}
+
+// span is the part of a skyline an enumeration or a count reads: the
+// window w, ecs.Range or a window inside it, and w's edges [lo, hi).
+type span struct {
+	ecs    *vct.ECS
+	w      tgraph.Window
+	lo, hi tgraph.EID
+}
+
+// whole is the span of ecs's own range.
+func whole(ecs *vct.ECS) span {
 	lo, hi := ecs.EdgeRange()
-	m := int(hi - lo)
-	off, wins := ecs.Flat()
+	return span{ecs, ecs.Range, lo, hi}
+}
+
+// cutTo is the span of the window w inside ecs's range, whose edges g
+// holds; it panics when w does not lie inside the range.
+func cutTo(g *tgraph.Graph, ecs *vct.ECS, w tgraph.Window) span {
+	if w == ecs.Range {
+		return whole(ecs)
+	}
+	if !w.Valid() || !ecs.Range.Contains(w) {
+		panic(fmt.Sprintf("enum: window %v outside the skyline's range %v", w, ecs.Range))
+	}
+	lo, hi := g.EdgesIn(w)
+	return span{ecs, w, lo, hi}
+}
+
+// run returns the windows of slot i's edge (edge lo+i-1) that lie inside
+// [first, w.End], as indices into ecs.Flat. The set-up loops read the
+// offsets themselves when that is all of the edge's windows, so the
+// whole-range path pays no call per edge.
+func (sp span) run(i int, first tgraph.TS) (a, b int32) {
+	return sp.ecs.Cut(sp.lo+tgraph.EID(i-1), tgraph.Window{Start: first, End: sp.w.End})
+}
+
+// enumerate is EnumerateStop over the span sp.
+func enumerate(sp span, sink Sink, s *Scratch, stop func() bool) (done, cancelled bool) {
+	w := sp.w
+	tlen := int(w.End-w.Start) + 1
+	m := int(sp.hi - sp.lo)
+	off, wins := sp.ecs.Flat()
+	cut := w != sp.ecs.Range
 	sb := uint(bits.Len(uint(m))) // ord = end<<sb | slot, slots 1..m
 
 	// Every edge's first window activates at Ts (Definition 6). File each
@@ -113,8 +179,13 @@ func EnumerateStop(g *tgraph.Graph, ecs *vct.ECS, sink Sink, s *Scratch, stop fu
 	cal := ds.GrowZero(s.cal, tlen)
 	cnt := ds.GrowZero(s.cnt, tlen+1)
 	tmp := s.tmp[:0]
+	n := 0 // windows in a cut's runs
 	for i := 1; i <= m; i++ {
 		a, b := off[i-1], off[i]
+		if cut {
+			a, b = sp.run(i, w.Start)
+			n += int(b - a)
+		}
 		if a == b {
 			continue
 		}
@@ -126,6 +197,10 @@ func EnumerateStop(g *tgraph.Graph, ecs *vct.ECS, sink Sink, s *Scratch, stop fu
 		cal[st] = int32(i)
 		cnt[end+1]++
 		tmp = append(tmp, ord)
+	}
+	s.windows = sp.ecs.Size()
+	if cut {
+		s.windows = n
 	}
 	for t := 0; t < tlen; t++ {
 		cnt[t+1] += cnt[t]
@@ -140,7 +215,7 @@ func EnumerateStop(g *tgraph.Graph, ecs *vct.ECS, sink Sink, s *Scratch, stop fu
 	edgeBuf := s.edgeBuf[:0]
 	defer func() { s.slots, s.cal, s.cnt, s.batch, s.tmp, s.edgeBuf = slots, cal, cnt, batch, tmp, edgeBuf }()
 
-	base := lo - 1 // slot i holds edge base+i
+	base := sp.lo - 1 // slot i holds edge base+i
 	for so := 0; so < tlen; so++ {
 		if stop != nil && so&(stopStride-1) == 0 && stop() {
 			return false, true

@@ -16,7 +16,9 @@ import (
 // start time the first byte picks, and a stop hook that fires at once
 // must cancel it. It also pins the order contract early stopping
 // relies on: a LimitSink stopped after n cores emits exactly a prefix of
-// the unbounded raw stream, cores and edge order alike. Run the seeds
+// the unbounded raw stream, cores and edge order alike. The full range's
+// skyline cut to the window must emit that raw stream too, and count the
+// oracle's totals, in one sweep and split at the same start time. Run the seeds
 // with the regular test suite or explore with
 // `go test -fuzz FuzzEnumerateMatchesOracle ./internal/enum`.
 //
@@ -96,6 +98,32 @@ func FuzzEnumerateMatchesOracle(f *testing.F) {
 		}
 		var raw rawSink
 		enum.EnumerateWith(g, ecs, &raw, s)
+
+		// The full range's skyline cut to w is w's skyline.
+		if w != full {
+			_, fecs, err := vct.Build(g, k, full)
+			if err != nil {
+				t.Fatalf("vct.Build(k=%d, %v): %v", k, full, err)
+			}
+			var cutRaw rawSink
+			if done, _ := enum.EnumerateWindowStop(g, fecs, w, &cutRaw, s, nil); !done || !sameStream(cutRaw.cores, raw.cores) {
+				t.Fatalf("k=%d %v: the cut emitted %+v (done %v), the window's build %+v", k, w, cutRaw.cores, done, raw.cores)
+			}
+			if s.Windows() != ecs.Size() {
+				t.Fatalf("k=%d %v: the cut's walk read %d windows, the window's build holds %d", k, w, s.Windows(), ecs.Size())
+			}
+			if c, e, cancelled := enum.CountWindowStop(g, fecs, w, s, nil); cancelled || c != cores || e != edges || s.Windows() != ecs.Size() {
+				t.Fatalf("k=%d %v: cut count = (%d cores, |R| %d, %d windows, cancelled %v), want (%d, %d, %d)",
+					k, w, c, e, s.Windows(), cancelled, cores, edges, ecs.Size())
+			}
+			if w.End > w.Start {
+				mid := w.Start + 1 + tgraph.TS(data[0])%(w.End-w.Start)
+				if c, e, cancelled := enum.CountWindowSplit(g, fecs, w, s, nil, mid); cancelled || c != cores || e != edges {
+					t.Fatalf("k=%d %v: cut count split at %d = (%d cores, |R| %d, cancelled %v), want (%d, %d)",
+						k, w, mid, c, e, cancelled, cores, edges)
+				}
+			}
+		}
 
 		// Early stop after n cores is the raw stream's first n cores.
 		for n := 1; n <= 3; n++ {

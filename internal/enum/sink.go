@@ -9,6 +9,10 @@
 // core, in time independent of |R|. Those aggregates depend only on the
 // windows live at each start time, so at GOMAXPROCS >= 2 CountStop sums
 // two sweeps of a large start range, the later one on a helper goroutine.
+// EnumerateWindowStop and CountWindowStop read the skyline of a window cut
+// in place from a larger range's skyline ("Cut" in the vct package
+// documentation), so the serving cache answers a window from one
+// full-range skyline without building the window's own.
 package enum
 
 import (

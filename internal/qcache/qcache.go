@@ -14,6 +14,14 @@
 // the other N-1 wait and share the result, so a thundering herd of
 // identical queries under load costs one CoreTime phase.
 //
+// A window's tables are also the full range's tables cut to the window
+// (package vct, "Cut"), so Lookup answers a window whose own entry is
+// absent from a resident full-range entry of the same (epoch, k). It
+// decides when to build that entry by ski rental: each window build
+// charges a cost proxy to its (epoch, k), and once the charges reach the
+// full range's predicted cost, the next window buys the full range
+// instead of building itself.
+//
 // Besides per-k CoreTime tables (AlgoEnum keys) the cache holds whole
 // historical multi-k PHC indexes (AlgoPHC keys, Entry.Phc payloads) under
 // the same epoch keying, LRU budget, singleflight and retirement rules —
@@ -25,6 +33,7 @@ import (
 	"container/list"
 	"context"
 	"errors"
+	"math"
 	"sync"
 	"time"
 
@@ -126,6 +135,7 @@ type Stats struct {
 	Evictions          int64 // entries dropped by the LRU byte bound
 	Retired            int64 // entries dropped because their epoch was retired
 	Oversize           int64 // built entries refused admission (larger than the budget)
+	Cuts               int64 // lookups answered from a full-range entry (see CountCut)
 
 	Entries int   // resident entries
 	Bytes   int64 // resident byte estimate
@@ -156,6 +166,43 @@ type Cache struct {
 	// floor is the highest RetireBelow seq seen (keeps retirement monotone).
 	floor int64 // tkc:guardedby mu
 	stats Stats // tkc:guardedby mu
+	// charges holds the rent window builds have paid towards the full
+	// range of their (epoch, k); see Lookup. A fixed array, so a charge
+	// never allocates.
+	charges [chargeSlots]charge // tkc:guardedby mu
+}
+
+// charge is the rent that the window builds at one (epoch, k) have paid
+// towards its full-range entry: their summed cost proxies, and the
+// CoreTime they took, which converts the proxy to wall time. k == 0 marks
+// a free slot.
+type charge struct {
+	seq  int64
+	k    int
+	paid int64
+	took time.Duration
+}
+
+// chargeSlots bounds the (epoch, k) pairs that keep charges at once. A
+// charge to a new pair when all are taken replaces the pair that has paid
+// least.
+const chargeSlots = 8
+
+// buyShare is the price of a full-range build in the units window builds
+// charge, as a multiple of the full range's own cost proxy. The proxy,
+// edges · √(start times), weighs a long range too lightly, because an
+// edge's skyline grows with the range. On the paper-scale CM replica at
+// k = 9 (2-CPU Xeon, GOMAXPROCS 2) the full range's build took 429 ms,
+// 54.6 times the 7.85 ms median of four 10%-of-tmax window builds, whose
+// proxies were 1/31.1 of the full range's: 54.6/31.1 = 1.75.
+const buyShare = 1.75
+
+// buildCost is the cost proxy of a CoreTime build of a window with edges
+// edges and starts start times. Build time grew as about edges ·
+// starts^0.5 on that replica: from 2% to 50% of tmax, window builds took
+// 0.017-0.037 µs per unit.
+func buildCost(edges, starts int) int64 {
+	return int64(float64(edges) * math.Sqrt(float64(starts)))
 }
 
 type node struct {
@@ -200,6 +247,98 @@ func (c *Cache) Probe(key Key) (*Entry, bool) {
 	c.ll.MoveToFront(el)
 	c.stats.Hits++
 	return el.Value.(*node).ent, true
+}
+
+// Source says where Lookup found a query's tables.
+type Source int
+
+const (
+	// Missed: neither the key's entry nor its full range's is resident.
+	// The caller builds the window through GetOrBuild, which charges the
+	// build to the key's (epoch, k).
+	Missed Source = iota
+	// Exact: the key's own entry is resident.
+	Exact
+	// Cut: the full range's entry is resident; the caller cuts the
+	// window's tables from it.
+	Cut
+	// Buy: the window builds at the key's (epoch, k) have paid the full
+	// range's predicted cost. The caller builds the full range through
+	// GetOrBuild and cuts the window's tables from it.
+	Buy
+)
+
+// Lookup finds the tables of key, a window inside the range of full: the
+// same epoch, k and algorithm, over the whole range, which holds
+// fullEdges edges. It returns key's resident entry (Exact), counting a hit
+// as GetOrBuild does; else full's resident entry (Cut), counting a cut;
+// else no entry. With no entry it returns Buy, and the predicted wall time
+// of the full range's build, when the charges at (key.Seq, key.K) have
+// reached buyShare times the full range's cost proxy, and no build of full
+// is in flight or known to exceed the budget; otherwise Missed. So a
+// query that finds the buy in flight builds its own window instead of
+// waiting. Lookup never builds or waits, and allocates nothing.
+func (c *Cache) Lookup(key, full Key, fullEdges int) (*Entry, Source, time.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.m[key]; ok {
+		c.ll.MoveToFront(el)
+		c.stats.Hits++
+		return el.Value.(*node).ent, Exact, 0
+	}
+	if key == full {
+		return nil, Missed, 0
+	}
+	if el, ok := c.m[full]; ok {
+		c.ll.MoveToFront(el)
+		c.stats.Cuts++
+		return el.Value.(*node).ent, Cut, 0
+	}
+	ch := c.chargeOf(key, false)
+	price := int64(buyShare * float64(buildCost(fullEdges, full.W.Len())))
+	_, buying := c.flights[full]
+	_, oversize := c.oversize[full]
+	if ch == nil || ch.paid < price || buying || oversize {
+		return nil, Missed, 0
+	}
+	return nil, Buy, time.Duration(float64(ch.took) * float64(price) / float64(ch.paid))
+}
+
+// CountCut counts a cut that Lookup did not serve: a query that cut the
+// full-range entry it built or shared through GetOrBuild after Lookup
+// returned Buy.
+func (c *Cache) CountCut() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.stats.Cuts++
+}
+
+// chargeOf returns the charge slot of key's (epoch, k). With take, a pair
+// that has none takes a free slot, or else the slot that has paid least;
+// without, it returns nil.
+//
+// tkc:guardheld mu: callers hold c.mu
+func (c *Cache) chargeOf(key Key, take bool) *charge {
+	var free, least *charge
+	for i := range c.charges {
+		ch := &c.charges[i]
+		switch {
+		case ch.k == key.K && ch.seq == key.Seq:
+			return ch
+		case ch.k == 0:
+			free = ch
+		case least == nil || ch.paid < least.paid:
+			least = ch
+		}
+	}
+	if !take {
+		return nil
+	}
+	if free == nil {
+		free = least
+	}
+	*free = charge{seq: key.Seq, k: key.K}
+	return free
 }
 
 // Uncacheable reports that a previous build for key produced tables
@@ -286,6 +425,12 @@ func (c *Cache) GetOrBuild(ctx context.Context, key Key, build func() (*Entry, e
 		delete(c.flights, key)
 		if f.err == nil {
 			c.insert(key, f.ent)
+			if ecs := f.ent.Ecs; ecs != nil {
+				lo, hi := ecs.EdgeRange()
+				ch := c.chargeOf(key, true)
+				ch.paid += buildCost(int(hi-lo), key.W.Len())
+				ch.took += f.ent.CoreTime
+			}
 		}
 		c.mu.Unlock()
 		finished = true
@@ -333,6 +478,11 @@ func (c *Cache) RetireBelow(seq int64) {
 	for k := range c.oversize {
 		if k.Seq < seq {
 			delete(c.oversize, k)
+		}
+	}
+	for i := range c.charges {
+		if c.charges[i].seq < seq {
+			c.charges[i] = charge{}
 		}
 	}
 }

@@ -504,6 +504,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		extra["tkc_cache_hits_total"] = float64(cs.Hits)
 		extra["tkc_cache_misses_total"] = float64(cs.Misses)
 		extra["tkc_cache_shared_total"] = float64(cs.SingleflightShared)
+		extra["tkc_cache_cuts_total"] = float64(cs.Cuts)
 		extra["tkc_cache_evictions_total"] = float64(cs.Evictions)
 		extra["tkc_cache_retired_total"] = float64(cs.Retired)
 		extra["tkc_cache_entries"] = float64(cs.Entries)

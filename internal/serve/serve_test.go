@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -679,5 +680,40 @@ func TestStatsAndMetricsShape(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("/healthz status %d", resp.StatusCode)
+	}
+}
+
+// TestMetricsCountCuts sweeps distinct windows over HTTP until their
+// builds buy the full range and later windows are cut from it, and pins
+// tkc_cache_cuts_total: every query either built (a miss) or was cut, and
+// the one that bought the full range did both.
+func TestMetricsCountCuts(t *testing.T) {
+	edges := genEdges(t, 9, 600)
+	g, err := tkc.NewGraph(edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, serve.Config{Graph: g})
+	var times []int64
+	for _, e := range edges {
+		times = append(times, e.Time)
+	}
+	slices.Sort(times)
+	times = slices.Compact(times)
+	const n = 30
+	span := len(times) * 45 / 100
+	for i := 0; i < n; i++ {
+		a := i * (len(times) - span) / n
+		body := fmt.Sprintf(`{"k":2,"start":%d,"end":%d,"project":"count"}`, times[a], times[a+span-1])
+		if status, _, _, tr := postQuery(t, ts.URL, body); status != http.StatusOK || tr.Stats == nil || tr.Stats.CacheHit {
+			t.Fatalf("query %d: status %d, trailer %+v", i, status, tr)
+		}
+	}
+	cs := g.CacheStats()
+	if cs.Cuts == 0 || cs.Hits != 0 || cs.Cuts+cs.Misses != n+1 {
+		t.Fatalf("%d distinct windows: %+v; want cuts, no hits, and cuts + misses = %d", n, cs, n+1)
+	}
+	if body := fetchMetrics(t, ts.URL); !strings.Contains(body, fmt.Sprintf("tkc_cache_cuts_total %d\n", cs.Cuts)) {
+		t.Errorf("/metrics missing tkc_cache_cuts_total %d:\n%s", cs.Cuts, body)
 	}
 }

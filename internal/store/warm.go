@@ -233,6 +233,10 @@ func (s *Store) admitWarmEntry(c *qcache.Cache, p []byte, cur int64, onPHC func(
 		if err != nil || ecs.K != key.K || ecs.Range != key.W {
 			return false
 		}
+		lo, hi := ecs.EdgeRange()
+		if wlo, whi := s.g.EdgesIn(key.W); lo != wlo || hi != whi {
+			return false
+		}
 		c.Add(key, qcache.NewEntry(ix, ecs, coreTime))
 		return true
 	case qcache.AlgoPHC:

@@ -112,6 +112,35 @@
 // 3,000; at k = 3 it broke even below 500). The patcher stays serial;
 // its fallback to a full build may split.
 //
+// # Cut
+//
+// The same fact makes one range's tables serve every window inside it.
+// For a window W = [Ts, Te] inside the range R the tables were built for,
+// the core times of W at a start time ts are R's, CT_ts(u), wherever
+// CT_ts(u) <= Te: the k-core of [ts, te] for te <= Te depends only on the
+// edges of [ts, te], so it is the same in W and in R. A core time above
+// Te has no window in W that holds u in a k-core, so W reads it as ∞.
+// Core times rise with the start time, so a vertex's W entries are the R
+// entry in force at Ts, R's later entries that start inside W with core
+// times at most Te, and one {s, ∞} where its core time first passes Te
+// (Index.CutSize counts them).
+//
+// The skyline of W holds, per edge, R's windows that lie inside W.
+// Whether an edge is in the k-core of a window depends only on the edges
+// inside the window, and every sub-window of a window inside W lies
+// inside W too. So a window inside W is a minimal core window of the edge
+// in W exactly when it is one in R. An edge's windows rise in start and in
+// end, so those with start >= Ts and end <= Te form one contiguous run:
+// from its first window starting at or after Ts to, not including, its
+// first window ending after Te (ECS.Cut).
+//
+// So a reader that starts each of W's edges at the first window of its
+// run and stops before the run's end sees W's skyline without a copy,
+// after O(m_W log d) set-up for the m_W edges of W and skylines of at
+// most d windows. enum.EnumerateWindowStop and enum.CountWindowStop read
+// it so, and the serving cache answers a cold window by such a cut of its
+// (epoch, k)'s full-range entry once window builds have paid for it.
+//
 // # Scratch-pool design
 //
 // The builder's entire working state — core-time, support and record

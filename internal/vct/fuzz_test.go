@@ -1,6 +1,7 @@
 package vct_test
 
 import (
+	"slices"
 	"testing"
 
 	"temporalkcore/internal/kcore"
@@ -17,7 +18,9 @@ import (
 // differs from the whole-history adjacency. The zero trim of the seeds is
 // the full window. The first byte picks a start time to split the build
 // at, and the split build must match the serial one entry for entry and
-// window for window.
+// window for window. The full range's tables cut to the window must match
+// the window's build too: its core times at every start time, read as ∞
+// above the window's end, its |VCT|, and every edge's run of windows.
 func FuzzCoreTimes(f *testing.F) {
 	f.Add([]byte{1, 2, 1, 2, 3, 2, 1, 3, 3}, byte(2))
 	f.Add([]byte{0, 1, 5, 1, 2, 5, 0, 2, 5, 2, 3, 6}, byte(2))
@@ -60,6 +63,7 @@ func FuzzCoreTimes(f *testing.F) {
 			sameIndex(t, g, ix, six)
 			sameECS(t, ecs, secs)
 		}
+		sameCut(t, g, k, w, ix, ecs)
 		p := kcore.NewPeeler(g)
 		for u := tgraph.VID(0); u < tgraph.VID(g.NumVertices()); u++ {
 			for ts := w.Start; ts <= w.End; ts++ {
@@ -76,4 +80,47 @@ func FuzzCoreTimes(f *testing.F) {
 			}
 		}
 	})
+}
+
+// sameCut builds g's full range at k and checks its tables cut to w
+// against ix and ecs, the build of w (see sameCutOf).
+func sameCut(t *testing.T, g *tgraph.Graph, k int, w tgraph.Window, ix *vct.Index, ecs *vct.ECS) {
+	t.Helper()
+	fix, fecs, err := vct.Build(g, k, g.FullWindow())
+	if err != nil {
+		t.Fatalf("Build of the full range: %v", err)
+	}
+	sameCutOf(t, g, w, fix, fecs, ix, ecs)
+}
+
+// sameCutOf checks the full range's tables fix and fecs cut to w against
+// ix and ecs, the build of w: core times at every start time, read as ∞
+// above w's end, |VCT|, and every edge's run of windows.
+func sameCutOf(t *testing.T, g *tgraph.Graph, w tgraph.Window, fix *vct.Index, fecs *vct.ECS, ix *vct.Index, ecs *vct.ECS) {
+	t.Helper()
+	for u := tgraph.VID(0); u < tgraph.VID(g.NumVertices()); u++ {
+		for ts := w.Start; ts <= w.End; ts++ {
+			got := fix.CoreTime(u, ts)
+			if got > w.End {
+				got = tgraph.InfTime
+			}
+			if want := ix.CoreTime(u, ts); got != want {
+				t.Fatalf("cut to %v: CT_%d(v%d) = %d, the window's build has %d (k=%d)", w, ts, u, got, want, ix.K)
+			}
+		}
+	}
+	if got := fix.CutSize(w); got != ix.Size() {
+		t.Fatalf("cut to %v: |VCT| = %d, the window's build has %d (k=%d)", w, got, ix.Size(), ix.K)
+	}
+	lo, hi := g.EdgesIn(w)
+	if elo, ehi := ecs.EdgeRange(); elo != lo || ehi != hi {
+		t.Fatalf("window build covers edges [%d,%d), the window holds [%d,%d)", elo, ehi, lo, hi)
+	}
+	_, wins := fecs.Flat()
+	for e := lo; e < hi; e++ {
+		a, b := fecs.Cut(e, w)
+		if got, want := wins[a:b], ecs.Windows(e); !slices.Equal(got, want) {
+			t.Fatalf("cut to %v: edge %d has windows %v, the window's build %v (k=%d)", w, e, got, want, ix.K)
+		}
+	}
 }

@@ -41,7 +41,14 @@ func (e *ECS) Encode(w io.Writer) error {
 	return bw.Flush()
 }
 
-// DecodeECS reads a skyline written by Encode.
+// DecodeECS reads a skyline written by Encode. It accepts only a skyline
+// its readers can walk: a valid range with at least one edge per start
+// time, as every build's has; offsets rising from 0 to the window count;
+// and per edge, windows inside the range, each starting at or before its
+// end, with starts and ends strictly rising. So a corrupted stream gives
+// an error, never a skyline that panics CountStop, EnumerateStop or a cut,
+// and a header that claims more than the stream holds fails at the
+// stream's end instead of allocating the claim.
 func DecodeECS(r io.Reader) (*ECS, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(ecsMagic))
@@ -56,36 +63,54 @@ func DecodeECS(r io.Reader) (*ECS, error) {
 		return nil, fmt.Errorf("vct: reading header: %w", err)
 	}
 	lo, hi, nWins := int(hdr[3]), int(hdr[4]), int(hdr[5])
-	const limit = 1 << 31
-	if lo < 0 || hi < lo || hi-lo >= limit || nWins < 0 || nWins > limit {
-		return nil, fmt.Errorf("vct: implausible sizes lo=%d hi=%d wins=%d", lo, hi, nWins)
+	rng := tgraph.Window{Start: tgraph.TS(hdr[1]), End: tgraph.TS(hdr[2])}
+	if lo < 0 || hi < lo || nWins < 0 || !rng.Valid() || rng.Len() > hi-lo {
+		return nil, fmt.Errorf("vct: implausible skyline: range %v, edges [%d,%d), %d windows", rng, lo, hi, nWins)
 	}
-	e := &ECS{
-		K:     int(hdr[0]),
-		Range: tgraph.Window{Start: tgraph.TS(hdr[1]), End: tgraph.TS(hdr[2])},
-		lo:    tgraph.EID(lo),
-		hi:    tgraph.EID(hi),
-		off:   make([]int32, hi-lo+1),
-		wins:  make([]tgraph.Window, nWins),
-	}
-	if err := binary.Read(br, binary.LittleEndian, e.off); err != nil {
+	off, err := readInt32s(br, hi-lo+1)
+	if err != nil {
 		return nil, fmt.Errorf("vct: reading offsets: %w", err)
 	}
-	flat := make([]int32, 2*nWins)
-	if err := binary.Read(br, binary.LittleEndian, flat); err != nil {
-		return nil, fmt.Errorf("vct: reading windows: %w", err)
-	}
-	for i := range e.wins {
-		e.wins[i] = tgraph.Window{Start: tgraph.TS(flat[2*i]), End: tgraph.TS(flat[2*i+1])}
-	}
-	// Structural validation so a corrupted stream cannot cause panics.
-	if e.off[0] != 0 || int(e.off[len(e.off)-1]) != nWins {
+	if off[0] != 0 || int(off[len(off)-1]) != nWins {
 		return nil, errors.New("vct: corrupt skyline offset table")
 	}
-	for i := 1; i < len(e.off); i++ {
-		if e.off[i] < e.off[i-1] {
+	for i := 1; i < len(off); i++ {
+		if off[i] < off[i-1] {
 			return nil, errors.New("vct: skyline offset table not monotone")
 		}
 	}
+	flat, err := readInt32s(br, 2*nWins)
+	if err != nil {
+		return nil, fmt.Errorf("vct: reading windows: %w", err)
+	}
+	e := &ECS{K: int(hdr[0]), Range: rng, lo: tgraph.EID(lo), hi: tgraph.EID(hi), off: off, wins: make([]tgraph.Window, nWins)}
+	for i := range e.wins {
+		e.wins[i] = tgraph.Window{Start: tgraph.TS(flat[2*i]), End: tgraph.TS(flat[2*i+1])}
+	}
+	for i := 0; i < hi-lo; i++ {
+		prev := tgraph.Window{Start: rng.Start - 1, End: rng.Start - 1}
+		for _, win := range e.wins[off[i]:off[i+1]] {
+			if win.Start <= prev.Start || win.End <= prev.End || win.Start > win.End || win.End > rng.End {
+				return nil, fmt.Errorf("vct: edge %d: window %v after %v in range %v", lo+i, win, prev, rng)
+			}
+			prev = win
+		}
+	}
 	return e, nil
+}
+
+// readInt32s reads n little-endian int32 values, growing its buffer as
+// they arrive.
+func readInt32s(r io.Reader, n int) ([]int32, error) {
+	const chunk = 1 << 14
+	out := make([]int32, 0, min(n, chunk))
+	buf := make([]int32, min(n, chunk))
+	for len(out) < n {
+		part := buf[:min(n-len(out), chunk)]
+		if err := binary.Read(r, binary.LittleEndian, part); err != nil {
+			return nil, err
+		}
+		out = append(out, part...)
+	}
+	return out, nil
 }

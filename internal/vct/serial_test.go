@@ -2,6 +2,7 @@ package vct_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 
@@ -62,5 +63,35 @@ func TestDecodeIndexRejectsGarbage(t *testing.T) {
 	data[6+20] = 0xFF
 	if _, err := vct.DecodeIndex(bytes.NewReader(data)); err == nil {
 		t.Error("corrupt offset table accepted")
+	}
+}
+
+// TestDecodeIndexRejectsUnsearchableEntries pins the entry checks: each
+// stream below has a valid offset table, and each index would mislead
+// CoreTime's and CutSize's binary searches.
+func TestDecodeIndexRejectsUnsearchableEntries(t *testing.T) {
+	stream := func(start, end int32, ents ...int32) []byte {
+		var b bytes.Buffer
+		b.WriteString("VCTX1\n")
+		binary.Write(&b, binary.LittleEndian, []int32{2, start, end, 2, int32(len(ents) / 2)})
+		binary.Write(&b, binary.LittleEndian, []int32{0, int32(len(ents) / 2)})
+		binary.Write(&b, binary.LittleEndian, ents)
+		return b.Bytes()
+	}
+	inf := int32(tgraph.InfTime)
+	for name, data := range map[string][]byte{
+		"start outside the range":    stream(1, 5, 7, 8),
+		"core time past the range":   stream(1, 5, 1, 6),
+		"core time before its start": stream(1, 5, 3, 2),
+		"starts not rising":          stream(1, 5, 2, 3, 2, 4),
+		"core times not rising":      stream(1, 5, 1, 3, 2, 3),
+		"invalid range":              stream(0, 5, 1, 3),
+	} {
+		if _, err := vct.DecodeIndex(bytes.NewReader(data)); err == nil {
+			t.Errorf("%s: decoded without error", name)
+		}
+	}
+	if _, err := vct.DecodeIndex(bytes.NewReader(stream(1, 5, 1, 3, 2, 5, 4, inf))); err != nil {
+		t.Fatalf("a searchable index: %v", err)
 	}
 }

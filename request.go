@@ -266,6 +266,13 @@ func (r *Request) First(ctx context.Context) (Core, bool, error) {
 // aggregates over the skyline (enum.CountStop) instead of walking every
 // core, so its enumeration phase does not grow with |R|; the totals equal
 // the walk's.
+//
+// A one-shot window whose tables are not cached may still skip the
+// CoreTime phase: once earlier windows' builds at the same epoch and k
+// have paid for it, the serving cache holds the whole range's tables, and
+// the window reads them cut to itself in place (QueryStats.Cut). Every
+// request shape does; the answer and the reported table sizes are those
+// of the window's own build.
 func (r *Request) Count(ctx context.Context) (QueryStats, error) {
 	return r.run(ctx, nil)
 }
@@ -412,6 +419,7 @@ func (r *Request) enumerate(ctx context.Context, qs *QueryStats, sink *projSink)
 	stop := core.StopFromCtx(ctx)
 	var ix *vct.Index
 	var ecs *vct.ECS
+	cut := false
 	switch {
 	case r.prep != nil:
 		ix, ecs = r.prep.ix, r.prep.ecs
@@ -426,11 +434,15 @@ func (r *Request) enumerate(ctx context.Context, qs *QueryStats, sink *projSink)
 		vs := vct.GetScratch()
 		defer vct.PutScratch(vs)
 		var err error
-		if ix, ecs, err = r.tables(ctx, qs, w, vs, stop); err != nil {
+		if ix, ecs, cut, err = r.tables(ctx, qs, w, vs, stop); err != nil {
 			return err
 		}
 	}
 	qs.VCTSize, qs.ECSSize = ix.Size(), ecs.Size()
+	read := ecs.Range // the window of ecs the enumeration reads
+	if cut {
+		read = w
+	}
 
 	es := enum.GetScratch()
 	defer enum.PutScratch(es)
@@ -439,44 +451,81 @@ func (r *Request) enumerate(ctx context.Context, qs *QueryStats, sink *projSink)
 	if sink.fn == nil && sink.limit == 0 {
 		// An unlimited count receives no core: take cores and |R| from
 		// the per-start-time aggregates instead of walking L_t.
-		qs.Cores, qs.Edges, cancelled = enum.CountStop(ecs, es, stop)
+		qs.Cores, qs.Edges, cancelled = enum.CountWindowStop(sink.g, ecs, read, es, stop)
 	} else {
-		_, cancelled = enum.EnumerateStop(sink.g, ecs, sink, es, stop)
+		_, cancelled = enum.EnumerateWindowStop(sink.g, ecs, read, sink, es, stop)
 	}
 	qs.EnumTime = time.Since(began)
+	if cut {
+		// The sizes a build of w would hold: its entries and its edges'
+		// runs of windows.
+		qs.VCTSize, qs.ECSSize = ix.CutSize(w), es.Windows()
+	}
 	if cancelled {
 		return ctx.Err()
 	}
 	return nil
 }
 
-// tables returns the CoreTime tables of the request's window w: the
-// serving-cache entry under g.cacheKey, built by g.buildCacheEntry on a
-// miss, or a build on vs when the cache is off or the key is known to
-// exceed its budget. Tables built on vs stay valid until vs is reused. It
-// records the cache outcome and the CoreTime it paid in qs.
-func (r *Request) tables(ctx context.Context, qs *QueryStats, w tgraph.Window, vs *vct.Scratch, stop func() bool) (*vct.Index, *vct.ECS, error) {
+// tables returns the CoreTime tables of the request's window w, and
+// whether they are a cut: tables of the whole range that the caller reads
+// only inside w ("Cut" in internal/vct's documentation). With the serving
+// cache on, they are w's own entry under g.cacheKey; else the resident
+// full-range entry of the same (epoch, k), cut to w; else a build of w by
+// g.buildCacheEntry, which the cache charges towards the full range. Once
+// those charges have paid for the full range (qcache.Lookup), the query
+// builds the full-range entry instead and cuts it, unless its deadline is
+// nearer than that build's predicted time. Without a cache, or when w's
+// key is known to exceed its budget, the tables are a build on vs, valid
+// until vs is reused. It records the cache outcome and the CoreTime it
+// paid in qs.
+func (r *Request) tables(ctx context.Context, qs *QueryStats, w tgraph.Window, vs *vct.Scratch, stop func() bool) (*vct.Index, *vct.ECS, bool, error) {
 	g := r.g
 	if c := g.cache(); c != nil {
 		if key := g.cacheKey(r.k, w); !c.Uncacheable(key) {
+			full := g.cacheKey(r.k, g.g.FullWindow())
+			ent, src, predict := c.Lookup(key, full, g.g.NumEdges())
+			switch src {
+			case qcache.Exact:
+				qs.CacheHit = true
+				return ent.Ix, ent.Ecs, false, nil
+			case qcache.Cut:
+				qs.Cut = true
+				return ent.Ix, ent.Ecs, true, nil
+			case qcache.Buy:
+				if dl, ok := ctx.Deadline(); !ok || time.Until(dl) >= predict {
+					ent, how, err := c.GetOrBuild(ctx, full, func() (*qcache.Entry, error) {
+						return g.buildCacheEntry(ctx, r.k, full.W)
+					})
+					if err != nil {
+						return nil, nil, false, err
+					}
+					c.CountCut()
+					qs.Cut = true
+					if how == qcache.Built {
+						qs.CoreTime = ent.CoreTime
+					}
+					return ent.Ix, ent.Ecs, true, nil
+				}
+			}
 			ent, how, err := c.GetOrBuild(ctx, key, func() (*qcache.Entry, error) {
 				return g.buildCacheEntry(ctx, r.k, w)
 			})
 			if err != nil {
-				return nil, nil, err
+				return nil, nil, false, err
 			}
 			qs.CacheHit = how != qcache.Built
 			qs.CacheShared = how == qcache.Shared
 			if how == qcache.Built {
 				qs.CoreTime = ent.CoreTime
 			}
-			return ent.Ix, ent.Ecs, nil
+			return ent.Ix, ent.Ecs, false, nil
 		}
 	}
 	began := time.Now()
 	ix, ecs, err := vct.BuildScratchStop(g.g, r.k, w, vs, stop)
 	qs.CoreTime = time.Since(began)
-	return ix, ecs, core.StopErr(ctx, err)
+	return ix, ecs, false, core.StopErr(ctx, err)
 }
 
 // runBaseline executes an EnumBase or OTCD request: the paper's baselines

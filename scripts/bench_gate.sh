@@ -33,7 +33,9 @@ tol=${BENCH_GATE_TOLERANCE:-30}
 # instead of O(|ECS|). The count cases guard the aggregate count of an
 # unlimited Count, O(m + |ECS| log tlen + tlen) instead of O(|R|); at a
 # few ms per CM count they run on a line of their own with fewer
-# iterations.
+# iterations. The cut cases beside them count a window cut from the full
+# range's skyline, as the serving cache answers a cold window once it
+# holds the full range.
 raw=$(
   go test -run=NONE -bench='BenchmarkBuildScratchReuse$' -benchtime=3x -benchmem ./internal/vct/
   go test -run=NONE -bench='BenchmarkAppendOneByOne$' -benchtime=20000x -benchmem ./internal/tgraph/
@@ -47,7 +49,7 @@ raw=$(
   go test -run=NONE -bench='BenchmarkPHCPartialRangePatch$' -benchtime=3x -benchmem .
   go test -run=NONE -bench='BenchmarkShardedScatterGather$' -benchtime=20x -benchmem .
   go test -run=NONE -bench='BenchmarkEnumerate$/-first$' -benchtime=10000x -benchmem ./internal/enum/
-  go test -run=NONE -bench='BenchmarkEnumerate$/-count$' -benchtime=20x -benchmem ./internal/enum/
+  go test -run=NONE -bench='BenchmarkEnumerate$/-(count|cut)$' -benchtime=20x -benchmem ./internal/enum/
 )
 echo "$raw"
 

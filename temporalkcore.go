@@ -209,6 +209,13 @@ type QueryStats struct {
 	// tables resident, but shared a concurrent identical build
 	// (singleflight) — a subset of CacheHit.
 	CacheShared bool
+	// Cut reports that the CoreTime tables were cut from the serving
+	// cache's full-range entry of this (epoch, k): the window's own entry
+	// was not resident, so the query read the full range's tables inside
+	// its window, and cached nothing for it (see Request.Count). A cut is
+	// no CacheHit. The query that builds the full-range entry reports a
+	// cut too, with that build's CoreTime.
+	Cut bool
 
 	// Shards is the number of the view's shards a sharded request's window
 	// overlaps; zero for unsharded requests. Every other statistic is the
